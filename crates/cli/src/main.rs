@@ -64,8 +64,9 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
-use uo_core::{prepare, run_query_with, Parallelism, Strategy};
+use uo_core::{prepare, IdRun, Parallelism, Profiler, ResultSet, Strategy};
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
+use uo_sparql::{ResultFormat, ResultWriter};
 use uo_store::TripleStore;
 
 fn main() -> ExitCode {
@@ -234,49 +235,60 @@ fn parse_strategy(args: &[String]) -> Result<Strategy, String> {
     }
 }
 
-/// Executes `text` with the operator profiler on and assembles the same
+/// One CLI query run: the optimized plan, the answer as id rows, and the
 /// EXPLAIN ANALYZE document the server attaches under `?profile=1` (cache
 /// outcome `bypass` — the CLI has no plan cache).
-fn run_analyzed(
-    store: &TripleStore,
+struct Analyzed<'a> {
+    prepared: uo_core::Prepared,
+    transforms: uo_core::TransformOutcome,
+    run: IdRun<'a>,
+    profile: uo_core::QueryProfile,
+}
+
+/// Parses, optimizes and executes `text`; with `profiler` on the profile
+/// carries the operator span tree.
+fn run_analyzed<'a>(
+    store: &'a TripleStore,
     engine: &dyn BgpEngine,
     text: &str,
     strategy: Strategy,
     par: Parallelism,
-) -> Result<(uo_core::RunReport, uo_core::QueryProfile), String> {
+    profiler: Profiler,
+) -> Result<Analyzed<'a>, String> {
     let t_total = Instant::now();
     let t_parse = Instant::now();
     let parsed = uo_sparql::parse(text).map_err(|e| e.to_string())?;
     let parse_nanos = t_parse.elapsed().as_nanos() as u64;
     let qtype = uo_core::query_type(&parsed.body);
     let mut prepared = uo_core::prepare_parsed(store, parsed);
-    let (_, optimize_time) = uo_core::optimize_prepared(store, engine, &mut prepared, strategy);
-    let report = uo_core::try_execute_prepared_profiled(
+    let (transforms, optimize_time) =
+        uo_core::optimize_prepared(store, engine, &mut prepared, strategy);
+    let run = uo_core::try_execute_ids(
         store,
         engine,
         &prepared,
         strategy,
         par,
         &uo_core::Cancellation::none(),
-        uo_core::Profiler::on(),
+        profiler,
     )
     .expect("execution without a cancellation token cannot be cancelled");
     let profile = uo_core::QueryProfile {
         engine: engine.name().to_string(),
         strategy: strategy.label().to_string(),
-        threads: report.threads,
+        threads: run.threads,
         query_type: qtype.to_string(),
         parse_nanos,
         cache: uo_core::CacheOutcome::Bypass,
         optimize_nanos: optimize_time.as_nanos() as u64,
-        execute_nanos: report.wall_nanos,
+        execute_nanos: run.wall_nanos,
         total_nanos: t_total.elapsed().as_nanos() as u64,
-        rows: report.results.len() as u64,
-        rows_enumerated: report.exec_stats.rows_enumerated,
-        short_circuit: report.exec_stats.short_circuit,
-        root: report.op_profile.clone(),
+        rows: run.rows.len() as u64,
+        rows_enumerated: run.exec_stats.rows_enumerated,
+        short_circuit: run.exec_stats.short_circuit,
+        root: run.op_profile.clone(),
     };
-    Ok((report, profile))
+    Ok(Analyzed { prepared, transforms, run, profile })
 }
 
 /// Renders an operator span tree as indented text: one line per operator
@@ -343,7 +355,8 @@ fn cmd_explain(args: &[String], par: Parallelism) -> Result<(), String> {
     };
     let store = load_store(input, par)?;
     if has_flag(args, "--analyze") {
-        let (_, profile) = run_analyzed(&store, engine.as_ref(), &text, strategy, par)?;
+        let Analyzed { profile, .. } =
+            run_analyzed(&store, engine.as_ref(), &text, strategy, par, Profiler::on())?;
         if has_flag(args, "--json") {
             println!("{}", profile.to_json());
         } else {
@@ -398,7 +411,8 @@ fn cmd_query(args: &[String], par: Parallelism) -> Result<(), String> {
             stats.semijoins,
             stats.semijoin_pruned
         );
-        let results = uo_core::decode_projection(&bag, &prepared.projection, &store);
+        let results =
+            ResultSet::project(&bag, &prepared.projection, store.dictionary(), Vec::new());
         print_results(&results, &prepared.query.projection(), args);
         return Ok(());
     }
@@ -408,53 +422,52 @@ fn cmd_query(args: &[String], par: Parallelism) -> Result<(), String> {
         "binary" => Box::new(BinaryJoinEngine::with_threads(par.threads())),
         other => return Err(format!("unknown engine '{other}'")),
     };
-    if has_flag(args, "--profile") {
-        // EXPLAIN ANALYZE alongside the results: same execution, profiler on.
-        let (report, profile) = run_analyzed(&store, engine.as_ref(), &text, strategy, par)?;
+    // One execution either way; `--profile` turns the operator profiler on
+    // and prints EXPLAIN ANALYZE instead of the summary line.
+    let profiled = has_flag(args, "--profile");
+    let profiler = if profiled { Profiler::on() } else { Profiler::off() };
+    let Analyzed { prepared, transforms, run, profile } =
+        run_analyzed(&store, engine.as_ref(), &text, strategy, par, profiler)?;
+    if profiled {
         print_analyze(&profile);
-        if let Some(verdict) = report.ask {
-            println!("{verdict}");
-            return Ok(());
+    } else {
+        if has_flag(args, "--explain") {
+            eprintln!(
+                "--- plan ({} merges, {} injects) ---",
+                transforms.merges, transforms.injects
+            );
+            eprintln!(
+                "{}",
+                uo_core::betree::explain(&prepared.tree, &prepared.vars, store.dictionary())
+            );
         }
-        let parsed = uo_sparql::parse(&text).map_err(|e| e.to_string())?;
-        print_results(&report.results, &parsed.projection(), args);
-        return Ok(());
-    }
-    let report =
-        run_query_with(&store, engine.as_ref(), &text, strategy, par).map_err(|e| e.to_string())?;
-    if has_flag(args, "--explain") {
         eprintln!(
-            "--- plan ({} merges, {} injects) ---",
-            report.transforms.merges, report.transforms.injects
+            "{}/{}: {} results | transform {:.2?} | exec {:.2?} | join space {:.3e} | {} thread(s)",
+            engine.name(),
+            strategy.label(),
+            run.rows.len(),
+            std::time::Duration::from_nanos(profile.optimize_nanos),
+            run.exec_time,
+            run.exec_stats.join_space,
+            run.threads
         );
-        eprintln!("{}", report.plan);
     }
-    eprintln!(
-        "{}/{}: {} results | transform {:.2?} | exec {:.2?} | join space {:.3e} | {} thread(s)",
-        engine.name(),
-        strategy.label(),
-        report.results.len(),
-        report.transform_time,
-        report.exec_time,
-        report.join_space,
-        report.threads
-    );
-    if let Some(verdict) = report.ask {
-        println!("{verdict}");
-        return Ok(());
+    match run.ask {
+        Some(verdict) => println!("{verdict}"),
+        None => print_results(&run.rows, &prepared.query.projection(), args),
     }
-    let parsed = uo_sparql::parse(&text).map_err(|e| e.to_string())?;
-    print_results(&report.results, &parsed.projection(), args);
     Ok(())
 }
 
-fn print_results(results: &[Vec<Option<uo_rdf::Term>>], projection: &[String], args: &[String]) {
+/// Prints the first `--limit-print` rows (default 20); only those are ever
+/// turned from ids into terms.
+fn print_results(results: &ResultSet<'_>, projection: &[String], args: &[String]) {
     let cap: usize = flag_value(args, "--limit-print").and_then(|v| v.parse().ok()).unwrap_or(20);
     println!("{}", projection.iter().map(|v| format!("?{v}")).collect::<Vec<_>>().join("\t"));
-    for row in results.iter().take(cap) {
+    for row in results.rows().take(cap) {
         let cells: Vec<String> = row
             .iter()
-            .map(|t| t.as_ref().map(|t| t.to_string()).unwrap_or_else(|| "—".into()))
+            .map(|&id| results.term(id).map_or_else(|| "—".into(), |t| t.to_string()))
             .collect();
         println!("{}", cells.join("\t"));
     }
@@ -530,35 +543,46 @@ fn cmd_trace(args: &[String], par: Parallelism) -> Result<(), String> {
         vec![("merges", transforms.merges.to_string()), ("injects", transforms.injects.to_string())]
     });
     let exec_span = tracer.start(root.id, "query", "execute");
-    let report = uo_core::try_execute_prepared_profiled(
+    let run = uo_core::try_execute_ids(
         &store,
         engine.as_ref(),
         &prepared,
         strategy,
         par,
         &uo_core::Cancellation::none(),
-        uo_core::Profiler::off(),
+        Profiler::off(),
     )
     .expect("execution without a cancellation token cannot be cancelled");
+    let rows = run.rows.len();
     tracer.end_with(exec_span, || {
         vec![
-            ("rows", report.results.len().to_string()),
-            ("rows_enumerated", report.exec_stats.rows_enumerated.to_string()),
+            ("rows", rows.to_string()),
+            ("rows_enumerated", run.exec_stats.rows_enumerated.to_string()),
         ]
     });
+    // The server's serialize phase: each distinct term formatted once and
+    // the body counted, none of it kept.
     let ser_span = tracer.start(root.id, "query", "serialize");
-    let body = match report.ask {
-        Some(verdict) => uo_sparql::ask_json(verdict),
-        None => uo_sparql::results_json(&prepared.query.projection(), &report.results),
+    let writer = match run.ask {
+        Some(verdict) => ResultWriter::ask(ResultFormat::Json, verdict),
+        None => ResultWriter::select(
+            ResultFormat::Json,
+            &prepared.query.projection(),
+            run.rows,
+            &|| false,
+        )
+        .expect("a predicate that never fires stops nothing"),
     };
-    tracer.end_with(ser_span, || vec![("bytes", body.len().to_string())]);
-    tracer.end_with(root, || {
-        vec![("type", qtype.to_string()), ("rows", report.results.len().to_string())]
+    tracer.end_with(ser_span, || {
+        vec![
+            ("bytes", writer.body_len().to_string()),
+            ("distinct_terms", writer.distinct_terms().to_string()),
+        ]
     });
+    tracer.end_with(root, || vec![("type", qtype.to_string()), ("rows", rows.to_string())]);
 
     eprintln!(
-        "{qtype} query: {} row(s); trace holds {} event(s) ({} dropped)",
-        report.results.len(),
+        "{qtype} query: {rows} row(s); trace holds {} event(s) ({} dropped)",
         tracer.event_count(),
         tracer.dropped(),
     );

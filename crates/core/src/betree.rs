@@ -126,6 +126,12 @@ impl<'a> EvalCtx<'a> {
         extra.terms.get((id - base - 1) as usize).cloned()
     }
 
+    /// Ends the context, keeping its synthetic terms: the term of synthetic
+    /// id `dictionary().len() + 1 + i` is element `i`.
+    pub fn into_extra_terms(self) -> Vec<Term> {
+        self.extra.into_inner().expect("no evaluation thread panicked while interning").terms
+    }
+
     /// Interns a term: terms present in the data reuse their dictionary id
     /// (so computed values still join against scan results); novel terms get
     /// a synthetic id. Equal terms always receive the same id.

@@ -45,6 +45,11 @@
 //! ).unwrap();
 //! assert_eq!(report.results.len(), 1);
 //! ```
+//!
+//! Every way to run a query wraps one execution entry, [`try_execute_ids`],
+//! which leaves the answer as projected id rows ([`ResultSet`]) for
+//! `uo_sparql::ResultWriter` to stream; [`RunReport::results`] is those rows
+//! decoded to owned terms, for callers that want values rather than bytes.
 
 pub mod betree;
 pub mod binarytree;
@@ -72,6 +77,7 @@ pub use metrics::{count_bgp, query_type, QueryCounters, QueryCountersSnapshot, Q
 pub use optimizer::{multi_level_transform, OptimizerConfig, TransformOutcome};
 pub use uo_obs::{CacheOutcome, OpProfile, Profiler, QueryProfile};
 pub use uo_par::Parallelism;
+pub use uo_sparql::ResultSet;
 pub use update::{run_update, try_run_update, UpdateReport};
 pub use wdpt::{check_well_designed, is_well_designed};
 
@@ -232,7 +238,7 @@ pub struct RunReport {
     /// re-timing around the call.
     pub wall_nanos: u64,
     /// The operator span tree, present only when executed with an enabled
-    /// [`Profiler`] (see [`try_execute_prepared_profiled`]).
+    /// [`Profiler`] (see [`try_execute_ids`]).
     pub op_profile: Option<OpProfile>,
 }
 
@@ -299,7 +305,7 @@ pub fn run_prepared_with(
 /// pruning thresholds) for `full`. Returns the transformation counters and
 /// the time spent.
 ///
-/// Splitting this from [`try_execute_prepared`] lets a serving layer
+/// Splitting this from [`try_execute_ids`] lets a serving layer
 /// optimize a query once, cache the optimized [`Prepared`], and then
 /// execute it many times — repeat queries skip parse *and* optimize.
 pub fn optimize_prepared(
@@ -363,40 +369,54 @@ pub fn row_budget(prepared: &Prepared) -> Option<usize> {
     prepared.query.limit.map(|l| l.saturating_add(prepared.query.offset.unwrap_or(0)))
 }
 
-/// Executes an already-optimized [`Prepared`] under `strategy`'s pruning
-/// mode and a [`Cancellation`] token (checked at BGP-evaluation
-/// boundaries). Does **not** re-run the optimizer — pair with
-/// [`optimize_prepared`], or use [`run_prepared_with`] for the one-shot
-/// path. The returned report's `transforms`/`transform_time` are zeroed;
-/// the one-shot wrappers fill them in.
-pub fn try_execute_prepared(
-    store: &Snapshot,
-    engine: &dyn BgpEngine,
-    prepared: &Prepared,
-    strategy: Strategy,
-    par: Parallelism,
-    cancel: &Cancellation,
-) -> Result<RunReport, Cancelled> {
-    try_execute_prepared_profiled(store, engine, prepared, strategy, par, cancel, Profiler::off())
+/// What one execution produced, with the answer still as ids: the outcome
+/// of [`try_execute_ids`], the one execution entry every other one wraps.
+#[derive(Debug)]
+pub struct IdRun<'a> {
+    /// The solution bag over the full variable frame (after aggregation and
+    /// ordering, before projection).
+    pub bag: Bag,
+    /// The answer: rows projected to the SELECT variables with DISTINCT,
+    /// OFFSET and LIMIT applied, lending `&Term`s out of the store's
+    /// dictionary and the run's own computed terms.
+    pub rows: ResultSet<'a>,
+    /// Time spent in evaluation (and aggregation).
+    pub exec_time: Duration,
+    /// Evaluation statistics.
+    pub exec_stats: ExecStats,
+    /// Effective worker count (see [`RunReport::threads`]).
+    pub threads: usize,
+    /// The `ASK` verdict: `Some(_)` for ASK queries, `None` for SELECT.
+    pub ask: Option<bool>,
+    /// Wall nanoseconds of this run: evaluation, aggregation, ordering,
+    /// projection and the solution modifiers. Always measured.
+    pub wall_nanos: u64,
+    /// The operator span tree, present only when executed with an enabled
+    /// [`Profiler`].
+    pub op_profile: Option<OpProfile>,
 }
 
-/// [`try_execute_prepared`] with an opt-in [`Profiler`]. When the profiler
-/// is on, the report's `op_profile` holds the operator span tree: per
+/// Executes an already-optimized [`Prepared`] under `strategy`'s pruning
+/// mode and a [`Cancellation`] token (checked at BGP-evaluation
+/// boundaries), leaving the answer as id rows: no term is cloned out of
+/// the dictionary. Does **not** re-run the optimizer — pair with
+/// [`optimize_prepared`].
+///
+/// With `profiler` on, `op_profile` holds the operator span tree: per
 /// operator, wall nanoseconds plus actual output cardinality next to the
 /// optimizer's estimate (`est_rows`, annotated on BGP nodes by the `full`
 /// strategy). The span structure and every cardinality are bit-identical
-/// across worker counts; only the timing values vary. With the profiler
-/// off this is exactly [`try_execute_prepared`] — one branch per operator,
-/// no allocation.
-pub fn try_execute_prepared_profiled(
-    store: &Snapshot,
+/// across worker counts; only the timing values vary. With it off the cost
+/// is one branch per operator, no allocation.
+pub fn try_execute_ids<'a>(
+    store: &'a Snapshot,
     engine: &dyn BgpEngine,
     prepared: &Prepared,
     strategy: Strategy,
     par: Parallelism,
     cancel: &Cancellation,
     profiler: Profiler,
-) -> Result<RunReport, Cancelled> {
+) -> Result<IdRun<'a>, Cancelled> {
     let pruning = match strategy {
         Strategy::Base | Strategy::TreeTransform => Pruning::Off,
         Strategy::CandidatePruning => Pruning::fixed_for(store),
@@ -446,35 +466,69 @@ pub fn try_execute_prepared_profiled(
         }
     }
 
-    let mut results = decode_projection_ctx(&bag, &prepared.projection, &ctx);
-    if prepared.query.distinct {
-        // SELECT DISTINCT: set semantics over the projected rows.
-        results.sort();
-        results.dedup();
-    }
-    // Solution modifiers (applied to the projected rows; without ORDER BY
-    // the slice is taken in engine order, as SPARQL allows).
-    if let Some(off) = prepared.query.offset {
-        results.drain(..off.min(results.len()));
-    }
-    if let Some(lim) = prepared.query.limit {
-        results.truncate(lim);
-    }
-    let plan = explain(&prepared.tree, &prepared.vars, store.dictionary());
-    Ok(RunReport {
-        join_space: exec_stats.join_space,
-        results,
-        vars: prepared.vars.clone(),
-        transform_time: Duration::ZERO,
-        exec_time,
-        transforms: TransformOutcome::default(),
-        exec_stats,
-        plan,
+    // The run's BIND / VALUES / aggregate terms leave the context with the
+    // rows that refer to them. SELECT DISTINCT is set semantics over the
+    // projected rows; the slice is then taken in that order (without ORDER
+    // BY, engine order, as SPARQL allows).
+    let mut rows =
+        ResultSet::project(&bag, &prepared.projection, store.dictionary(), ctx.into_extra_terms());
+    rows.apply_modifiers(prepared.query.distinct, prepared.query.offset, prepared.query.limit);
+    Ok(IdRun {
         bag,
+        rows,
+        exec_time,
+        exec_stats,
         threads: par.threads().max(engine.threads()),
         ask,
         wall_nanos: t1.elapsed().as_nanos() as u64,
         op_profile,
+    })
+}
+
+/// [`try_execute_ids`] with the profiler off and the answer decoded to
+/// owned terms. The returned report's `transforms`/`transform_time` are
+/// zeroed; the one-shot wrappers ([`run_prepared_with`]) fill them in.
+pub fn try_execute_prepared(
+    store: &Snapshot,
+    engine: &dyn BgpEngine,
+    prepared: &Prepared,
+    strategy: Strategy,
+    par: Parallelism,
+    cancel: &Cancellation,
+) -> Result<RunReport, Cancelled> {
+    try_execute_prepared_profiled(store, engine, prepared, strategy, par, cancel, Profiler::off())
+}
+
+/// [`try_execute_ids`] followed by [`ResultSet::decode`] and a rendering of
+/// the plan: the decoded row matrix tests and the benchmark use as the
+/// reference. A serving path should stay on ids.
+pub fn try_execute_prepared_profiled(
+    store: &Snapshot,
+    engine: &dyn BgpEngine,
+    prepared: &Prepared,
+    strategy: Strategy,
+    par: Parallelism,
+    cancel: &Cancellation,
+    profiler: Profiler,
+) -> Result<RunReport, Cancelled> {
+    let run = try_execute_ids(store, engine, prepared, strategy, par, cancel, profiler)?;
+    let t_decode = Instant::now();
+    let results = run.rows.decode();
+    let plan = explain(&prepared.tree, &prepared.vars, store.dictionary());
+    Ok(RunReport {
+        join_space: run.exec_stats.join_space,
+        results,
+        vars: prepared.vars.clone(),
+        transform_time: Duration::ZERO,
+        exec_time: run.exec_time,
+        transforms: TransformOutcome::default(),
+        exec_stats: run.exec_stats,
+        plan,
+        bag: run.bag,
+        threads: run.threads,
+        ask: run.ask,
+        wall_nanos: run.wall_nanos + t_decode.elapsed().as_nanos() as u64,
+        op_profile: run.op_profile,
     })
 }
 
@@ -749,28 +803,6 @@ fn top_k_solutions(
         .map(|(_, i)| old[i].take().expect("heap keeps distinct rows"))
         .collect();
     true
-}
-
-/// Decodes the projection of a solution bag into terms.
-pub fn decode_projection(
-    bag: &Bag,
-    projection: &[VarId],
-    store: &Snapshot,
-) -> Vec<Vec<Option<Term>>> {
-    decode_projection_ctx(bag, projection, &EvalCtx::new(store.dictionary()))
-}
-
-/// [`decode_projection`] through an [`EvalCtx`], which additionally resolves
-/// the synthetic ids minted by BIND / VALUES / aggregates.
-pub fn decode_projection_ctx(
-    bag: &Bag,
-    projection: &[VarId],
-    ctx: &EvalCtx,
-) -> Vec<Vec<Option<Term>>> {
-    bag.rows
-        .iter()
-        .map(|row| projection.iter().map(|&v| ctx.decode(row[v as usize])).collect())
-        .collect()
 }
 
 #[cfg(test)]

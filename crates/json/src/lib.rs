@@ -5,7 +5,7 @@
 //! recursive-descent parser into a [`Json`] value tree, an [`escape`]r for
 //! embedding strings in hand-written JSON output, and a number formatter.
 //! It started life inside `uo_bench` (perf artifacts) and moved here so the
-//! SPARQL results serializer (`uo_sparql::serializer`) and the HTTP
+//! SPARQL results serializer (`uo_sparql::results`) and the HTTP
 //! endpoint's `/metrics` view (`uo_server`) reuse the same escaping logic
 //! instead of duplicating it.
 
@@ -265,18 +265,37 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 /// Escapes a string for embedding in JSON output.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let _ = escape_into(s, &mut out); // writing to a String cannot fail
     out
+}
+
+/// [`escape`] into any [`fmt::Write`] sink, without allocating: runs of
+/// characters that need no escaping are written as one slice.
+pub fn escape_into<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // Every escaped character is ASCII, so byte offsets at them are char
+    // boundaries and multi-byte sequences pass through inside the runs.
+    let mut clean = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let control;
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0x00..=0x1f => {
+                control =
+                    [b'\\', b'u', b'0', b'0', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]];
+                std::str::from_utf8(&control).expect("six ASCII bytes")
+            }
+            _ => continue,
+        };
+        out.write_str(&s[clean..i])?;
+        out.write_str(escaped)?;
+        clean = i + 1;
+    }
+    out.write_str(&s[clean..])
 }
 
 /// Formats an `f64` as a JSON number (finite values only; NaN/inf become
@@ -337,6 +356,14 @@ mod tests {
         let original = "line\nwith \"quotes\" and \\slashes\\";
         let doc = format!("\"{}\"", escape(original));
         assert_eq!(parse(&doc).unwrap(), Json::Str(original.to_string()));
+    }
+
+    #[test]
+    fn escape_into_writes_controls_as_u_escapes() {
+        let mut out = String::from("[");
+        escape_into("a\u{1}\u{1f}\"caf\u{e9}\t", &mut out).unwrap();
+        assert_eq!(out, "[a\\u0001\\u001f\\\"caf\u{e9}\\t");
+        assert_eq!(escape("plain"), "plain");
     }
 
     #[test]

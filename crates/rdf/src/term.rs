@@ -134,33 +134,56 @@ impl Term {
     }
 }
 
+/// Writes `s` with the N-Triples string escapes, runs of characters that
+/// need none going out as one slice (every escaped character is ASCII, so
+/// the byte offsets at them are char boundaries).
 fn escape_into(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    for c in s.chars() {
-        match c {
-            '\\' => write!(f, "\\\\")?,
-            '"' => write!(f, "\\\"")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            _ => write!(f, "{c}")?,
-        }
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        f.write_str(&s[clean..i])?;
+        f.write_str(escaped)?;
+        clean = i + 1;
     }
-    Ok(())
+    f.write_str(&s[clean..])
 }
 
 impl fmt::Display for Term {
-    /// Formats the term in N-Triples syntax.
+    /// Formats the term in N-Triples syntax. Written as plain `write_str`
+    /// calls: this is the per-cell formatter of TSV results and N-Triples
+    /// dumps, where `write!`'s argument machinery was most of the cost.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Term::Iri(i) => write!(f, "<{i}>"),
-            Term::Blank(b) => write!(f, "_:{b}"),
+            Term::Iri(i) => {
+                f.write_str("<")?;
+                f.write_str(i)?;
+                f.write_str(">")
+            }
+            Term::Blank(b) => {
+                f.write_str("_:")?;
+                f.write_str(b)
+            }
             Term::Literal { lexical, lang, datatype } => {
-                write!(f, "\"")?;
+                f.write_str("\"")?;
                 escape_into(f, lexical)?;
-                write!(f, "\"")?;
+                f.write_str("\"")?;
                 match (lang, datatype) {
-                    (Some(l), _) => write!(f, "@{l}"),
-                    (None, Some(dt)) => write!(f, "^^<{dt}>"),
+                    (Some(l), _) => {
+                        f.write_str("@")?;
+                        f.write_str(l)
+                    }
+                    (None, Some(dt)) => {
+                        f.write_str("^^<")?;
+                        f.write_str(dt)?;
+                        f.write_str(">")
+                    }
                     (None, None) => Ok(()),
                 }
             }

@@ -4,8 +4,9 @@
 //! this module implements exactly the subset the SPARQL endpoint needs:
 //! request-head parsing (request line + headers, CRLF-delimited),
 //! `Content-Length` bodies, percent/form decoding, and response writing.
-//! Every response carries `Connection: close` and the connection serves one
-//! exchange — the simplest protocol that is still correct for browsers,
+//! Every response carries an exact `Content-Length` (never
+//! `Transfer-Encoding`) and `Connection: close`, and the connection serves
+//! one exchange — the simplest protocol that is still correct for browsers,
 //! `curl`, and the closed-loop perf harness.
 
 use std::io::{self, Read, Write};
@@ -183,20 +184,20 @@ pub fn parse_form(s: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Writes one response and flushes. `extra_headers` are emitted verbatim
+/// Writes a response head announcing a body of exactly `content_length`
+/// bytes, which the caller then sends. `extra_headers` are emitted verbatim
 /// (e.g. `("Retry-After", "1")`).
-pub fn write_response(
+pub fn write_head(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
     content_type: &str,
     extra_headers: &[(&str, &str)],
-    body: &[u8],
+    content_length: u64,
 ) -> io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n",
-        body.len()
+         Content-Length: {content_length}\r\nConnection: close\r\n"
     );
     for (name, value) in extra_headers {
         head.push_str(name);
@@ -205,7 +206,19 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+    stream.write_all(head.as_bytes())
+}
+
+/// Writes one response whose body is already in memory, and flushes.
+pub fn write_response(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> io::Result<()> {
+    write_head(stream, status, reason, content_type, extra_headers, body.len() as u64)?;
     stream.write_all(body)?;
     stream.flush()
 }

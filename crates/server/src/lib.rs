@@ -24,8 +24,10 @@
 //!   the cache structure;
 //! - **admission control**: at most `max_inflight` requests execute at once
 //!   (503 + `Retry-After` beyond that) and every query carries a wall-clock
-//!   deadline enforced cooperatively at BGP-evaluation boundaries
-//!   ([`uo_core::Cancellation`]);
+//!   deadline enforced cooperatively at BGP-evaluation boundaries and every
+//!   few thousand rows while its result is sized and streamed
+//!   ([`uo_core::Cancellation`]): a 408 while the head is unsent, a dropped
+//!   connection after it;
 //! - `GET /metrics` (JSON counters incl. `triples`, `snapshot_epoch`,
 //!   `updates`, the tiered-`store` block, the durable-mode `wal` block, the
 //!   `latency` block of log₂-bucketed histograms, and the v6 `resources` +
@@ -62,10 +64,14 @@
 //!   (immutable run files plus a small manifest) and retires covered log
 //!   segments.
 //!
-//! Responses are deterministic: the JSON/TSV serializations are exactly
-//! `uo_sparql::results_json`/`results_tsv` of the same rows a direct
-//! [`uo_core::run_query`] returns against the same snapshot, so a response
-//! body is byte-identical to an in-process run of the same query.
+//! Responses are deterministic and **streamed**: a query's answer stays id
+//! rows ([`uo_core::try_execute_ids`]) until `uo_sparql::ResultWriter` has
+//! formatted each distinct term once and counted the body, the head goes out
+//! with that exact `Content-Length` (never `Transfer-Encoding`), and the body
+//! is copied to the socket through a fixed-size buffer — neither a decoded
+//! row matrix nor a body string is ever built. The bytes are exactly
+//! `uo_sparql::results_json`/`results_tsv` of the rows a direct
+//! [`uo_core::run_query`] returns against the same snapshot.
 
 pub mod cache;
 pub mod http;
@@ -82,14 +88,15 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use uo_core::{
-    estimate_root_rows, optimize_prepared, prepare_parsed, query_type,
-    try_execute_prepared_profiled, try_run_update, try_run_update_durable, Cancellation,
-    DurableUpdateError, QueryCounters, QueryType, Strategy,
+    estimate_root_rows, optimize_prepared, prepare_parsed, query_type, try_execute_ids,
+    try_run_update, try_run_update_durable, Cancellation, DurableUpdateError, IdRun, QueryCounters,
+    QueryType, Strategy,
 };
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
 use uo_obs::{
     CacheOutcome, Histogram, Profiler, QueryProfile, RequestIds, SlowEntry, SlowLog, Tracer,
 };
+use uo_sparql::{ResultFormat, ResultWriter};
 use uo_store::{durable, DurableMetrics, DurableStore, Snapshot, StoreWriter};
 
 /// Which BGP engine backs the endpoint.
@@ -286,7 +293,8 @@ struct ServerState {
     /// Ring of recent slow queries (pushed only when
     /// [`ServerConfig::slow_query_ms`] is set; served at `/stats/slow`).
     slow_log: SlowLog,
-    /// End-to-end latency of successful queries, in nanoseconds.
+    /// End-to-end latency of executed queries, in nanoseconds: up to the
+    /// last body byte written (or the write that failed).
     query_hist: Histogram,
     /// End-to-end latency of successful updates, in nanoseconds.
     update_hist: Histogram,
@@ -1041,18 +1049,21 @@ fn respond_text_id(
     )
 }
 
-/// Splices a `"profile"` member into a JSON results document, before the
-/// document's closing brace. The results serialization is unchanged up to
-/// that point, so stripping the member (or comparing with
-/// `uo_obs::strip_timing_fields`) recovers byte-stable output.
-fn attach_profile(mut body: String, profile: &QueryProfile) -> String {
-    match body.rfind('}') {
-        Some(pos) => {
-            body.insert_str(pos, &format!(", \"profile\": {}", profile.to_json()));
-            body
-        }
-        None => body,
-    }
+/// The 408 of a query whose deadline passed before its head was written
+/// (during evaluation, or while its body was being formatted and sized).
+fn respond_deadline_exceeded(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    rid: &str,
+) -> io::Result<()> {
+    QueryCounters::bump(&state.counters.cancelled);
+    respond_text_id(
+        stream,
+        408,
+        "Request Timeout",
+        "query deadline exceeded (raise the 'timeout' parameter)\n",
+        rid,
+    )
 }
 
 fn handle_sparql(
@@ -1196,7 +1207,7 @@ fn handle_sparql(
     let profiler = if profile_requested { Profiler::on() } else { Profiler::off() };
     let projection = prepared.query.projection();
     let exec_span = state.tracer.start(req_span.id(), "query", "execute");
-    let report = match try_execute_prepared_profiled(
+    let Ok(run) = try_execute_ids(
         &snapshot,
         state.engine.as_ref(),
         &prepared,
@@ -1204,62 +1215,87 @@ fn handle_sparql(
         uo_par::Parallelism::new(state.cfg.engine_threads.max(1)),
         &cancel,
         profiler,
-    ) {
-        Ok(report) => report,
-        Err(_) => {
-            QueryCounters::bump(&state.counters.cancelled);
-            return respond_text_id(
-                stream,
-                408,
-                "Request Timeout",
-                "query deadline exceeded (raise the 'timeout' parameter)\n",
-                &rid,
-            );
-        }
+    ) else {
+        return respond_deadline_exceeded(state, stream, &rid);
     };
-    let rows = report.results.len();
+    // Only the projected id rows outlive execution; the bag goes now.
+    let IdRun { bag, rows: answer, ask, wall_nanos, threads, exec_stats, op_profile, .. } = run;
+    drop(bag);
+    let rows = answer.len();
     state.tracer.end_with(exec_span, || vec![("rows", rows.to_string())]);
-    state.counters.record_ok(qtype, rows);
     // Cardinality feedback for /stats/plans: what the plan actually
     // produced, against the estimate captured when it was cached.
-    plan_stats.record_exec(report.wall_nanos, rows as u64);
+    plan_stats.record_exec(wall_nanos, rows as u64);
 
+    // Serialize: format each distinct term once and count the body. The
+    // deadline still yields a clean 408 here — the head is not out yet.
     let ser_span = state.tracer.start(req_span.id(), "query", "serialize");
-    let mut body = match (report.ask, format) {
+    let stop = || cancel.is_cancelled();
+    let wire = if format == Format::Json { ResultFormat::Json } else { ResultFormat::Tsv };
+    let writer = match (ask, format) {
         // ASK gets the boolean result document of the negotiated format.
-        (Some(b), Format::Json) => uo_sparql::ask_json(b),
-        (Some(b), Format::Tsv | Format::Debug) => uo_sparql::ask_text(b),
-        (None, Format::Json) => uo_sparql::results_json(&projection, &report.results),
-        (None, Format::Tsv) => uo_sparql::results_tsv(&projection, &report.results),
-        (None, Format::Debug) => debug_table(&projection, &report.results),
+        (Some(verdict), _) => Ok(ResultWriter::ask(wire, verdict)),
+        // The one human format: small, and the only one decoded to terms.
+        (None, Format::Debug) => Ok(ResultWriter::text(debug_table(&projection, &answer.decode()))),
+        (None, Format::Json | Format::Tsv) => {
+            ResultWriter::select(wire, &projection, answer, &stop)
+        }
     };
-    let body_bytes = body.len();
-    state.tracer.end_with(ser_span, || vec![("bytes", body_bytes.to_string())]);
+    let Ok(mut writer) = writer else {
+        return respond_deadline_exceeded(state, stream, &rid);
+    };
+    state.counters.record_ok(qtype, rows);
+    if profile_requested {
+        writer.set_profile(
+            QueryProfile {
+                engine: state.engine.name().to_string(),
+                strategy: state.cfg.strategy.label().to_string(),
+                threads,
+                query_type: qtype.to_string(),
+                parse_nanos,
+                cache: cache_outcome,
+                optimize_nanos,
+                execute_nanos: wall_nanos,
+                // Up to here: the profile is part of the body it is sized
+                // with, so it cannot include that body's transfer.
+                total_nanos: t_req.elapsed().as_nanos() as u64,
+                rows: rows as u64,
+                rows_enumerated: exec_stats.rows_enumerated,
+                short_circuit: exec_stats.short_circuit,
+                root: op_profile,
+            }
+            .to_json(),
+        );
+    }
+    let body_bytes = writer.body_len();
+    state.tracer.end_with(ser_span, || {
+        vec![
+            ("bytes", body_bytes.to_string()),
+            ("distinct_terms", writer.distinct_terms().to_string()),
+        ]
+    });
 
-    // Endpoint latency: end-to-end wall for this request, recorded into
-    // the lock-free /metrics histograms (overall and per query type).
+    // Write: the head with the exact length, then the body streamed through
+    // the writer's buffer. Past the head a deadline or a write error can
+    // only drop the connection, which the announced length makes detectable.
+    let write_span = state.tracer.start(req_span.id(), "server", "write");
+    let result = http::write_head(
+        stream,
+        200,
+        "OK",
+        format.content_type(),
+        &[("X-UO-Request-Id", &rid)],
+        body_bytes,
+    )
+    .and_then(|()| writer.write_to(stream, &stop));
+    state.tracer.end(write_span);
+
+    // Endpoint latency: end-to-end wall for this request up to its last
+    // body byte (or the failed write), recorded into the lock-free
+    // /metrics histograms (overall and per query type).
     let total_nanos = t_req.elapsed().as_nanos() as u64;
     state.query_hist.record(total_nanos);
     state.type_hists[type_index(qtype)].record(total_nanos);
-
-    if profile_requested {
-        let profile = QueryProfile {
-            engine: state.engine.name().to_string(),
-            strategy: state.cfg.strategy.label().to_string(),
-            threads: report.threads,
-            query_type: qtype.to_string(),
-            parse_nanos,
-            cache: cache_outcome,
-            optimize_nanos,
-            execute_nanos: report.wall_nanos,
-            total_nanos,
-            rows: rows as u64,
-            rows_enumerated: report.exec_stats.rows_enumerated,
-            short_circuit: report.exec_stats.short_circuit,
-            root: report.op_profile,
-        };
-        body = attach_profile(body, &profile);
-    }
 
     if let Some(threshold_ms) = state.cfg.slow_query_ms {
         if total_nanos >= threshold_ms.saturating_mul(1_000_000) {
@@ -1279,16 +1315,6 @@ fn handle_sparql(
         }
     }
 
-    let write_span = state.tracer.start(req_span.id(), "server", "write");
-    let result = http::write_response(
-        stream,
-        200,
-        "OK",
-        format.content_type(),
-        &[("X-UO-Request-Id", &rid)],
-        body.as_bytes(),
-    );
-    state.tracer.end(write_span);
     state.tracer.end_with(req_span.take(), || {
         vec![
             ("request_id", rid),
@@ -1734,33 +1760,6 @@ mod tests {
         assert!(health_degraded(true, 0, 20_001, 1_000));
         // Interval overflow saturates instead of wrapping.
         assert!(!health_degraded(true, 0, u64::MAX - 1, u64::MAX));
-    }
-
-    #[test]
-    fn attach_profile_splices_before_closing_brace() {
-        let profile = QueryProfile {
-            engine: "wco".to_string(),
-            strategy: "full".to_string(),
-            threads: 1,
-            query_type: "BGP".to_string(),
-            parse_nanos: 1,
-            cache: CacheOutcome::Miss,
-            optimize_nanos: 2,
-            execute_nanos: 3,
-            total_nanos: 6,
-            rows: 0,
-            rows_enumerated: 0,
-            short_circuit: false,
-            root: None,
-        };
-        let body = uo_sparql::results_json(&["x".to_string()], &[]);
-        let got = attach_profile(body.clone(), &profile);
-        assert!(got.starts_with(&body[..body.len() - 1]), "results prefix unchanged");
-        assert!(got.contains("\"profile\": {\"engine\": \"wco\""));
-        assert!(got.ends_with("}}"), "document still closes");
-        // The boolean (ASK) document splices the same way.
-        let ask = attach_profile(uo_sparql::ask_json(true), &profile);
-        assert!(ask.contains("\"boolean\":true, \"profile\": {"));
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   lists, the `a` keyword, numeric and string literals);
 //! - [`algebra`]: bags of mappings and the operators of Section 3 —
 //!   compatibility-join `⋈`, bag union `∪bag`, difference `∖` and left outer
-//!   join `⟕` — all preserving duplicates (bag semantics).
+//!   join `⟕` — all preserving duplicates (bag semantics);
+//! - [`results`]: the projected answer as id rows ([`ResultSet`]) and its
+//!   W3C JSON / TSV wire formats, streamed ([`ResultWriter`]) or as a
+//!   `String` ([`results_json`], [`results_tsv`]).
 //!
 //! # Example
 //!
@@ -31,6 +34,7 @@ pub mod algebra;
 pub mod ast;
 pub mod parser;
 pub mod regex_lite;
+pub mod results;
 pub mod serializer;
 
 pub use algebra::{Bag, VarId, VarTable};
@@ -40,4 +44,8 @@ pub use ast::{
 };
 pub use parser::{parse, parse_update, ParseError};
 pub use regex_lite::{Regex, RegexError};
-pub use serializer::{ask_json, ask_text, results_json, results_tsv, serialize, serialize_update};
+pub use results::{
+    ask_json, ask_text, results_json, results_tsv, ResultFormat, ResultSet, ResultWriter, Stopped,
+    STREAM_BUFFER_BYTES,
+};
+pub use serializer::{serialize, serialize_update};

@@ -1,23 +1,16 @@
-//! Serializes a parsed [`Query`] back to SPARQL text, and solution
-//! sequences to the standard W3C result formats.
+//! Serializes a parsed [`Query`] back to SPARQL text.
 //!
 //! The query serializer's output uses full IRIs (no prefixes) and canonical
 //! whitespace, and is re-parseable: `parse(serialize(q))` produces a query
 //! equal to `q` up to prefix expansion. This gives the parser a strong
 //! round-trip property test and lets tools print optimized or rewritten
-//! queries.
-//!
-//! [`results_json`] and [`results_tsv`] render projected solution rows
-//! (`Vec<Option<Term>>`, `None` = unbound) in the *SPARQL 1.1 Query Results
-//! JSON Format* and the *SPARQL 1.1 Query Results TSV Format* — the wire
-//! formats the HTTP endpoint (`uo_server`) negotiates. JSON string escaping
-//! is shared with the rest of the workspace via `uo_json`.
+//! queries. (Solution sequences and their wire formats live in
+//! [`crate::results`].)
 
 use crate::ast::{
     Element, Expr, GroupPattern, PatternTerm, Query, Selection, UpdateOp, UpdateRequest,
 };
 use std::fmt::Write;
-use uo_rdf::Term;
 
 /// Renders a query as SPARQL text.
 pub fn serialize(q: &Query) -> String {
@@ -294,117 +287,6 @@ fn write_data_block(keyword: &str, triples: &[crate::ast::DataTriple], out: &mut
     out.push('}');
 }
 
-/// Renders one binding value in the SPARQL 1.1 Results JSON layout.
-///
-/// IRIs become `{"type": "uri"}` objects, blank nodes `"bnode"`, literals
-/// `"literal"` with an `xml:lang` or `datatype` annotation when present.
-fn json_term(t: &Term, out: &mut String) {
-    match t {
-        Term::Iri(i) => {
-            let _ = write!(out, "{{\"type\":\"uri\",\"value\":\"{}\"}}", uo_json::escape(i));
-        }
-        Term::Blank(b) => {
-            let _ = write!(out, "{{\"type\":\"bnode\",\"value\":\"{}\"}}", uo_json::escape(b));
-        }
-        Term::Literal { lexical, lang, datatype } => {
-            let _ =
-                write!(out, "{{\"type\":\"literal\",\"value\":\"{}\"", uo_json::escape(lexical));
-            match (lang, datatype) {
-                (Some(l), _) => {
-                    let _ = write!(out, ",\"xml:lang\":\"{}\"", uo_json::escape(l));
-                }
-                (None, Some(dt)) => {
-                    let _ = write!(out, ",\"datatype\":\"{}\"", uo_json::escape(dt));
-                }
-                (None, None) => {}
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Renders projected solution rows in the **SPARQL 1.1 Query Results JSON
-/// Format** (`application/sparql-results+json`).
-///
-/// `vars` are the projection's variable names (without `?`); each row is one
-/// solution over those variables in order, with `None` meaning *unbound*
-/// (unbound variables are omitted from the binding object, per the spec).
-/// The output is deterministic: keys appear in projection order, rows in
-/// input order, so byte-equality of two serializations is exactly
-/// row/term-equality of the underlying solution sequences.
-pub fn results_json(vars: &[String], rows: &[Vec<Option<Term>>]) -> String {
-    let mut out = String::with_capacity(64 + rows.len() * 64);
-    out.push_str("{\"head\":{\"vars\":[");
-    for (i, v) in vars.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", uo_json::escape(v));
-    }
-    out.push_str("]},\"results\":{\"bindings\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        let mut first = true;
-        for (v, cell) in vars.iter().zip(row.iter()) {
-            if let Some(t) = cell {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "\"{}\":", uo_json::escape(v));
-                json_term(t, &mut out);
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("]}}");
-    out
-}
-
-/// Renders an `ASK` result in the **SPARQL 1.1 Query Results JSON Format**
-/// boolean form: `{"head":{},"boolean":true}`.
-pub fn ask_json(b: bool) -> String {
-    format!("{{\"head\":{{}},\"boolean\":{b}}}")
-}
-
-/// Renders an `ASK` result for the text formats (one line, `true`/`false`).
-pub fn ask_text(b: bool) -> String {
-    format!("{b}\n")
-}
-
-/// Renders projected solution rows in the **SPARQL 1.1 Query Results TSV
-/// Format** (`text/tab-separated-values`).
-///
-/// The header row lists the projection variables (`?`-prefixed); each
-/// following row encodes terms in N-Triples syntax (which escapes embedded
-/// tabs and newlines, keeping cells single-line) and leaves unbound
-/// variables empty.
-pub fn results_tsv(vars: &[String], rows: &[Vec<Option<Term>>]) -> String {
-    let mut out = String::with_capacity(16 + rows.len() * 32);
-    for (i, v) in vars.iter().enumerate() {
-        if i > 0 {
-            out.push('\t');
-        }
-        let _ = write!(out, "?{v}");
-    }
-    out.push('\n');
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i > 0 {
-                out.push('\t');
-            }
-            if let Some(t) = cell {
-                let _ = write!(out, "{t}");
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,25 +387,12 @@ mod tests {
     }
 
     #[test]
-    fn ask_results_forms() {
-        assert_eq!(ask_json(true), "{\"head\":{},\"boolean\":true}");
-        assert_eq!(ask_json(false), "{\"head\":{},\"boolean\":false}");
-        let doc = uo_json::parse(&ask_json(true)).unwrap();
-        assert!(doc.get("head").is_some());
-        assert_eq!(ask_text(false), "false\n");
-    }
-
-    #[test]
     fn serialized_form_is_readable() {
         let q =
             parse("SELECT ?x WHERE { ?x <http://p> ?y OPTIONAL { ?y <http://q> ?z } }").unwrap();
         let text = serialize(&q);
         assert!(text.contains("OPTIONAL {"));
         assert!(text.starts_with("SELECT ?x WHERE {"));
-    }
-
-    fn vars(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
     }
 
     fn round_trip_update(u: &str) {
@@ -559,96 +428,5 @@ mod tests {
             serialize_update(&a),
             "INSERT DATA {\n  <http://ex/a> <http://ex/p> <http://ex/b> .\n}"
         );
-    }
-
-    /// Golden output covering every term shape: IRI, blank node, plain /
-    /// language-tagged / typed literals, and an unbound variable.
-    #[test]
-    fn results_json_golden() {
-        let rows = vec![
-            vec![
-                Some(Term::iri("http://ex/a")),
-                Some(Term::lang_literal("chat", "en")),
-                Some(Term::blank("b0")),
-            ],
-            vec![
-                Some(Term::typed_literal("42", "http://www.w3.org/2001/XMLSchema#integer")),
-                None,
-                Some(Term::literal("plain")),
-            ],
-        ];
-        let got = results_json(&vars(&["x", "n", "b"]), &rows);
-        let want = concat!(
-            "{\"head\":{\"vars\":[\"x\",\"n\",\"b\"]},\"results\":{\"bindings\":[",
-            "{\"x\":{\"type\":\"uri\",\"value\":\"http://ex/a\"},",
-            "\"n\":{\"type\":\"literal\",\"value\":\"chat\",\"xml:lang\":\"en\"},",
-            "\"b\":{\"type\":\"bnode\",\"value\":\"b0\"}},",
-            "{\"x\":{\"type\":\"literal\",\"value\":\"42\",",
-            "\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"},",
-            "\"b\":{\"type\":\"literal\",\"value\":\"plain\"}}",
-            "]}}"
-        );
-        assert_eq!(got, want);
-        // The golden output is well-formed JSON with the spec's structure.
-        let doc = uo_json::parse(&got).unwrap();
-        let head_vars = doc.get("head").unwrap().get("vars").unwrap().as_arr().unwrap();
-        assert_eq!(head_vars.len(), 3);
-        let bindings = doc.get("results").unwrap().get("bindings").unwrap().as_arr().unwrap();
-        assert_eq!(bindings.len(), 2);
-        assert!(bindings[1].get("n").is_none(), "unbound variables are omitted");
-    }
-
-    #[test]
-    fn results_json_escapes_control_characters() {
-        let rows = vec![vec![Some(Term::literal("a\"b\\c\nd"))]];
-        let got = results_json(&vars(&["v"]), &rows);
-        let doc = uo_json::parse(&got).unwrap();
-        let value = doc.get("results").unwrap().get("bindings").unwrap().as_arr().unwrap()[0]
-            .get("v")
-            .unwrap()
-            .get("value")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        assert_eq!(value, "a\"b\\c\nd");
-    }
-
-    #[test]
-    fn results_json_empty_rows_and_empty_projection() {
-        assert_eq!(
-            results_json(&vars(&["x"]), &[]),
-            "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":[]}}"
-        );
-        assert_eq!(
-            results_json(&[], &[vec![]]),
-            "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[{}]}}"
-        );
-    }
-
-    #[test]
-    fn results_tsv_golden() {
-        let rows = vec![
-            vec![
-                Some(Term::iri("http://ex/a")),
-                Some(Term::lang_literal("chat", "en")),
-                Some(Term::blank("b0")),
-            ],
-            vec![
-                Some(Term::typed_literal("42", "http://www.w3.org/2001/XMLSchema#integer")),
-                None,
-                Some(Term::literal("tab\there")),
-            ],
-        ];
-        let got = results_tsv(&vars(&["x", "n", "b"]), &rows);
-        let want = "?x\t?n\t?b\n\
-                    <http://ex/a>\t\"chat\"@en\t_:b0\n\
-                    \"42\"^^<http://www.w3.org/2001/XMLSchema#integer>\t\t\"tab\\there\"\n";
-        assert_eq!(got, want);
-        // Every data row keeps exactly one cell per variable: embedded tabs
-        // are escaped by the N-Triples encoding, not emitted raw.
-        for line in got.lines() {
-            assert_eq!(line.split('\t').count(), 3, "{line:?}");
-        }
     }
 }

@@ -444,3 +444,89 @@ fn tsv_covers_literal_annotations() {
     assert_eq!(body, "?o\n\"bonjour\"@fr\n");
     handle.shutdown();
 }
+
+/// 200 sameAs edges x 100 names x 8 links: 160 000 rows of five variables
+/// over ~500 distinct terms, a body of tens of megabytes.
+const Q_BIG: &str = "SELECT ?x ?a ?y ?n ?z WHERE {
+    ?x <http://sameAs> ?a . ?y <http://name> ?n . ?z <http://link> <http://POTUS> .
+}";
+
+/// ISSUE acceptance: a large reply is streamed under an exact
+/// `Content-Length` (never `Transfer-Encoding`) and is byte-identical to the
+/// library's serialization of the decoded rows — and with `?profile=1` the
+/// same bytes up to the closing brace, then the profile member.
+#[test]
+fn large_reply_is_sized_exactly_and_matches_the_library_bytes() {
+    let (st, handle) = start(ServerConfig::default());
+    let addr = handle.addr();
+    let expected = expected_json(&st, Q_BIG);
+    assert!(expected.len() > 16 << 20, "the reply must dwarf any socket buffer");
+
+    for profiled in [false, true] {
+        let req = format!(
+            "GET /sparql?query={}{} HTTP/1.1\r\nHost: x\r\n\r\n",
+            percent_encode(Q_BIG),
+            if profiled { "&profile=1" } else { "" }
+        );
+        let (status, headers, body) = exchange(addr, req.as_bytes());
+        assert_eq!(status, 200);
+        let header = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str());
+        assert_eq!(header("content-length"), Some(body.len().to_string().as_str()));
+        assert_eq!(header("transfer-encoding"), None, "sized, never chunked");
+        if profiled {
+            let (results, profile) = body.split_at(expected.len() - 1);
+            assert!(results == &expected[..expected.len() - 1], "results bytes changed");
+            assert!(profile.starts_with(", \"profile\": {\"engine\": \"wco\""), "{profile:.60}");
+            assert!(profile.ends_with("}}"), "document still closes");
+            let doc = uo_json::parse(&format!("{{\"profile\": {}", &profile[13..]))
+                .expect("the profile member is valid JSON");
+            let rows = doc.get("profile").and_then(|p| p.get("rows")).and_then(Json::as_f64);
+            assert_eq!(rows, Some(160_000.0));
+        } else {
+            assert!(body == expected, "streamed body differs from results_json");
+        }
+    }
+    handle.shutdown();
+}
+
+/// ISSUE robustness: a client that reads only the head of a >= 100 k-row
+/// response and disconnects costs the server one connection — the write
+/// error stops the stream at once, the admission slot comes back (with one
+/// slot, a leak would 503 every later request), and the next request is
+/// served in full.
+#[test]
+fn disconnect_after_the_head_frees_the_admission_slot() {
+    let (st, handle) = start(ServerConfig { max_inflight: 1, ..ServerConfig::default() });
+    let addr = handle.addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let req = format!("GET /sparql?query={} HTTP/1.1\r\nHost: x\r\n\r\n", percent_encode(Q_BIG));
+    stream.write_all(req.as_bytes()).expect("send request");
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        assert_eq!(stream.read(&mut byte).expect("read head"), 1, "connection closed in the head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("UTF-8 head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let announced: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("the head announces the body length");
+    assert!(announced > 16 << 20, "the body must not fit in socket buffers: {announced}");
+    drop(stream);
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while metrics(addr).get("inflight").and_then(Json::as_f64) != Some(0.0) {
+        assert!(Instant::now() < deadline, "the abandoned stream still holds its slot");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (status, body) = get_query(addr, Q_UO, None);
+    assert_eq!(status, 200);
+    assert_eq!(body, expected_json(&st, Q_UO));
+    let m = metrics(addr);
+    assert_eq!(metric(&m, "queries", "rejected") as usize, 0);
+    handle.shutdown();
+}
