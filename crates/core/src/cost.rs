@@ -59,6 +59,8 @@ impl<'a> CostModel<'a> {
         self.memoized(bgp).1
     }
 
+    /// `(cardinality, cost)` of `bgp`: the engine is asked once per distinct
+    /// BGP, and one estimate answers both.
     fn memoized(&self, bgp: &EncodedBgp) -> (f64, f64) {
         if bgp.patterns.is_empty() {
             return (1.0, 0.0);
@@ -66,10 +68,10 @@ impl<'a> CostModel<'a> {
         if let Some(&v) = self.memo.borrow().get(bgp) {
             return v;
         }
-        let card = self.engine.estimate_cardinality(self.store, bgp);
-        let cost = self.engine.estimate_cost(self.store, bgp);
-        self.memo.borrow_mut().insert(bgp.clone(), (card, cost));
-        (card, cost)
+        let estimate = self.engine.estimate(self.store, bgp);
+        let v = (estimate.cardinality, estimate.cost);
+        self.memo.borrow_mut().insert(bgp.clone(), v);
+        v
     }
 
     /// Estimated result size `|res(node)|` of a BE-tree node.

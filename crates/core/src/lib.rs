@@ -143,6 +143,11 @@ pub struct Prepared {
     pub projection: Vec<VarId>,
     /// Grouped-query plan (`GROUP BY` / aggregates / `HAVING`), if any.
     pub aggregation: Option<EncodedAggregation>,
+    /// The cost model's estimate of the plan's result scale — the product
+    /// of per-BGP cardinality estimates over the tree, the quantity the
+    /// optimizer minimizes. `None` until [`optimize_prepared`] fills it from
+    /// the cost model it planned with.
+    pub est_root_rows: Option<f64>,
 }
 
 /// A grouped-query plan: `GROUP BY` keys, aggregate computations and the
@@ -201,7 +206,7 @@ pub fn prepare_parsed(store: &Snapshot, query: Query) -> Prepared {
         None
     };
     let projection = query.projection().iter().map(|name| vars.intern(name)).collect();
-    Prepared { query, vars, tree, projection, aggregation }
+    Prepared { query, vars, tree, projection, aggregation, est_root_rows: None }
 }
 
 /// The outcome of running one query under one strategy.
@@ -302,8 +307,10 @@ pub fn run_prepared_with(
 
 /// Applies the plan-level work of `strategy` to `prepared` in place: tree
 /// transformation for `TT`/`full` plus cardinality annotation (the adaptive
-/// pruning thresholds) for `full`. Returns the transformation counters and
-/// the time spent.
+/// pruning thresholds) for `full`, and — under every strategy — the root
+/// estimate ([`Prepared::est_root_rows`]), read from the same cost model so
+/// no BGP is sketched twice. Returns the transformation counters and the
+/// time the transformation took.
 ///
 /// Splitting this from [`try_execute_ids`] lets a serving layer
 /// optimize a query once, cache the optimized [`Prepared`], and then
@@ -332,17 +339,20 @@ pub fn optimize_prepared(
         }
         Strategy::Base | Strategy::CandidatePruning => TransformOutcome::default(),
     };
-    (transforms, t0.elapsed())
+    let transform_time = t0.elapsed();
+    prepared.est_root_rows = Some(metrics::estimated_join_space(&prepared.tree, &cm));
+    (transforms, transform_time)
 }
 
-/// The cost model's estimate of the plan's result scale: the product of
-/// per-BGP cardinality estimates over the prepared tree (the same quantity
-/// the optimizer minimizes). Serving layers record it per cached plan so
-/// actual-vs-estimated feedback (`/stats/plans`) can expose queries whose
-/// plans were built on bad estimates.
+/// The cost model's estimate of the plan's result scale
+/// ([`Prepared::est_root_rows`]). Serving layers record it per cached plan
+/// so actual-vs-estimated feedback (`/stats/plans`) can expose queries whose
+/// plans were built on bad estimates. Estimates afresh only for a
+/// `prepared` that [`optimize_prepared`] has not seen.
 pub fn estimate_root_rows(store: &Snapshot, engine: &dyn BgpEngine, prepared: &Prepared) -> f64 {
-    let cm = CostModel::new(store, engine);
-    metrics::estimated_join_space(&prepared.tree, &cm)
+    prepared.est_root_rows.unwrap_or_else(|| {
+        metrics::estimated_join_space(&prepared.tree, &CostModel::new(store, engine))
+    })
 }
 
 /// The execution row budget implied by a query's solution modifiers:
@@ -853,6 +863,81 @@ mod tests {
                     engine.name()
                 );
             }
+        }
+    }
+
+    /// A [`WcoEngine`] that records every BGP it is asked to estimate.
+    struct CountingEngine {
+        inner: WcoEngine,
+        estimated: std::sync::Mutex<Vec<uo_engine::EncodedBgp>>,
+    }
+
+    impl BgpEngine for CountingEngine {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn evaluate(
+            &self,
+            store: &Snapshot,
+            bgp: &uo_engine::EncodedBgp,
+            width: usize,
+            candidates: &uo_engine::CandidateSet,
+        ) -> Bag {
+            self.inner.evaluate(store, bgp, width, candidates)
+        }
+
+        fn estimate(
+            &self,
+            store: &Snapshot,
+            bgp: &uo_engine::EncodedBgp,
+        ) -> uo_engine::BgpEstimate {
+            self.estimated.lock().unwrap().push(bgp.clone());
+            self.inner.estimate(store, bgp)
+        }
+    }
+
+    /// The server's plan-cache miss, call by call: each distinct BGP is
+    /// estimated at most once on the way to a plan *and* its root estimate,
+    /// execution estimates nothing, and the carried root estimate is what a
+    /// second pass over the plan with a fresh cost model would compute.
+    #[test]
+    fn a_miss_estimates_each_bgp_once_and_execution_never() {
+        let st = store();
+        for strategy in Strategy::ALL {
+            let engine = CountingEngine {
+                inner: WcoEngine::sequential(),
+                estimated: std::sync::Mutex::new(Vec::new()),
+            };
+            let mut prepared = prepare_parsed(&st, uo_sparql::parse(Q).unwrap());
+            assert_eq!(prepared.est_root_rows, None);
+            optimize_prepared(&st, &engine, &mut prepared, strategy);
+            let est_root = estimate_root_rows(&st, &engine, &prepared);
+            assert_eq!(prepared.est_root_rows, Some(est_root));
+
+            let estimated = std::mem::take(&mut *engine.estimated.lock().unwrap());
+            let distinct: std::collections::HashSet<_> = estimated.iter().collect();
+            assert!(!estimated.is_empty(), "{strategy}: the root estimate reads every BGP");
+            assert_eq!(estimated.len(), distinct.len(), "{strategy}: a BGP was estimated twice");
+
+            let second_pass = metrics::estimated_join_space(
+                &prepared.tree,
+                &CostModel::new(&st, &WcoEngine::sequential()),
+            );
+            assert_eq!(est_root.to_bits(), second_pass.to_bits(), "{strategy}");
+
+            let run = try_execute_ids(
+                &st,
+                &engine,
+                &prepared,
+                strategy,
+                Parallelism::sequential(),
+                &Cancellation::none(),
+                Profiler::off(),
+            )
+            .unwrap();
+            assert_eq!(run.rows.len(), 5);
+            assert!(engine.estimated.lock().unwrap().is_empty(), "{strategy}: execution estimated");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Jena-style BGP evaluation: scan each triple pattern into a relation and
 //! combine relations with cost-ordered hash joins.
 
-use crate::estimate::Estimator;
+use crate::estimate::{join_order, scan_counts, Estimator};
 use crate::pattern::{CandidateSet, EncodedBgp, EncodedTriplePattern};
-use crate::BgpEngine;
+use crate::{BgpEngine, BgpEstimate};
 use uo_par::Parallelism;
 use uo_rdf::{Id, NO_ID};
 use uo_sparql::algebra::Bag;
@@ -12,7 +12,7 @@ use uo_store::Snapshot;
 /// The binary hash-join engine (the paper's Jena stand-in).
 ///
 /// Each triple pattern is materialized by an index scan; relations are then
-/// combined left-deep in the greedy order of [`Estimator::sketch`] using the
+/// combined left-deep in the greedy order of [`join_order`] using the
 /// bag-semantics hash join of `uo_sparql::algebra`. Its cost model is
 /// Equation 9: `2·min(card(V1), card(V2)) + max(card(V1), card(V2))`
 /// (hash-build twice-weighted plus probe).
@@ -156,7 +156,7 @@ impl BgpEngine for BinaryJoinEngine {
             return unit;
         }
         let par = Parallelism::new(self.threads);
-        let order = Estimator::sketch(store, bgp).order();
+        let order = join_order(bgp, &scan_counts(store, bgp));
         let last = order.len() - 1;
         let mut acc: Option<Bag> = None;
         for (step, idx) in order.into_iter().enumerate() {
@@ -184,11 +184,7 @@ impl BgpEngine for BinaryJoinEngine {
         acc.unwrap_or_else(|| Bag::unit(width))
     }
 
-    fn estimate_cardinality(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64 {
-        Estimator::sketch(store, bgp).cardinality
-    }
-
-    fn estimate_cost(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64 {
+    fn estimate(&self, store: &Snapshot, bgp: &EncodedBgp) -> BgpEstimate {
         let sketch = Estimator::sketch(store, bgp);
         let mut cost = 0.0;
         for (i, step) in sketch.steps.iter().enumerate() {
@@ -200,7 +196,7 @@ impl BgpEngine for BinaryJoinEngine {
                 cost += 2.0 * a.min(b) + a.max(b); // Equation 9
             }
         }
-        cost
+        BgpEstimate { cardinality: sketch.cardinality, cost, order: sketch.order() }
     }
 }
 

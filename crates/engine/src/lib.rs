@@ -31,7 +31,7 @@ pub mod pattern;
 pub mod wco;
 
 pub use binary::{scan_pattern, scan_pattern_limited, scan_pattern_par, BinaryJoinEngine};
-pub use estimate::Estimator;
+pub use estimate::{join_order, scan_counts, Estimator};
 pub use pattern::{encode_bgp, CandidateSet, EncodedBgp, EncodedTriplePattern, Slot};
 pub use wco::WcoEngine;
 
@@ -77,12 +77,34 @@ pub trait BgpEngine: Send + Sync {
         bag
     }
 
+    /// Everything planning needs to know about a BGP, from **one** bounded
+    /// [`Estimator::sketch`]: the cost model calls this once per distinct BGP
+    /// and evaluation never does — the engines order their joins from
+    /// [`join_order`] alone.
+    fn estimate(&self, store: &Snapshot, bgp: &EncodedBgp) -> BgpEstimate;
+
     /// Estimated number of results of the BGP (Section 5.1.2's sampling
     /// scheme). Used both by the SPARQL-UO cost model and as the adaptive
     /// candidate-pruning threshold.
-    fn estimate_cardinality(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64;
+    fn estimate_cardinality(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64 {
+        self.estimate(store, bgp).cardinality
+    }
 
     /// Estimated evaluation cost of the BGP under this engine's join
     /// paradigm (`cost(P)` in Equations 2 and 6).
-    fn estimate_cost(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64;
+    fn estimate_cost(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64 {
+        self.estimate(store, bgp).cost
+    }
+}
+
+/// The outcome of [`BgpEngine::estimate`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BgpEstimate {
+    /// Estimated number of results (`|res(P)|`).
+    pub cardinality: f64,
+    /// Estimated evaluation cost under the engine's join paradigm
+    /// (`cost(P)`).
+    pub cost: f64,
+    /// The pattern order the estimate assumed ([`Estimator::order`]).
+    pub order: Vec<usize>,
 }

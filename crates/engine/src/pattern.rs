@@ -81,9 +81,19 @@ impl EncodedTriplePattern {
     /// True if the pattern uses the same variable more than once (e.g.
     /// `?x :p ?x`), requiring an equality check during scans.
     pub fn has_repeated_var(&self) -> bool {
-        let vars: Vec<VarId> = self.slots().iter().filter_map(|s| s.as_var()).collect();
-        let mut seen = 0u64;
-        for v in vars {
+        self.repeats_var_outside(0)
+    }
+
+    /// True if a variable *not* in `bound` occurs more than once. Only then
+    /// can [`bind`](Self::bind) reject a triple of the index range looked up
+    /// with every constant and every `bound` variable resolved; otherwise
+    /// the range length is the exact number of extensions.
+    pub fn repeats_var_outside(&self, bound: VarMask) -> bool {
+        let mut seen: VarMask = 0;
+        for v in self.slots().iter().filter_map(|s| s.as_var()) {
+            if bound & bit(v) != 0 {
+                continue;
+            }
             if seen & bit(v) != 0 {
                 return true;
             }
@@ -97,24 +107,31 @@ impl EncodedTriplePattern {
     /// mismatch.
     pub fn bind(&self, triple: [Id; 3], row: &[Id]) -> Option<Box<[Id]>> {
         let mut out: Box<[Id]> = row.into();
+        self.bind_into(triple, &mut out).then_some(out)
+    }
+
+    /// [`bind`](Self::bind) in place: writes this pattern's bindings of
+    /// `triple` into `row` and returns whether the triple matched. On a
+    /// mismatch `row` may hold some of the bindings already.
+    pub fn bind_into(&self, triple: [Id; 3], row: &mut [Id]) -> bool {
         for (slot, val) in self.slots().into_iter().zip(triple) {
             match slot {
                 Slot::Const(c) => {
                     if c != val {
-                        return None;
+                        return false;
                     }
                 }
                 Slot::Var(v) => {
-                    let cur = out[v as usize];
-                    if cur == NO_ID {
-                        out[v as usize] = val;
-                    } else if cur != val {
-                        return None;
+                    let cur = &mut row[v as usize];
+                    if *cur == NO_ID {
+                        *cur = val;
+                    } else if *cur != val {
+                        return false;
                     }
                 }
             }
         }
-        Some(out)
+        true
     }
 }
 

@@ -2,7 +2,7 @@
 //! extension joins.
 //!
 //! Partial matches are extended one triple pattern at a time in the greedy
-//! order of [`Estimator::sketch`]. Because every pattern after the seed has
+//! order of [`join_order`]. Because every pattern after the seed has
 //! at least one endpoint already bound, each extension is an index range
 //! scan keyed by the bound endpoint — the "scan all edges labelled `p`
 //! incident to the existing vertices" step of the paper's WCO description —
@@ -11,9 +11,9 @@
 //! `{v1..vk-1}` by `vk` is `card({v1..vk-1}) × min_i average_size(v_i, p)`
 //! (Section 5.1.2).
 
-use crate::estimate::Estimator;
+use crate::estimate::{join_order, scan_counts, Estimator};
 use crate::pattern::{CandidateSet, EncodedBgp};
-use crate::BgpEngine;
+use crate::{BgpEngine, BgpEstimate};
 use uo_par::Parallelism;
 use uo_rdf::Id;
 use uo_sparql::algebra::Bag;
@@ -101,7 +101,7 @@ impl BgpEngine for WcoEngine {
             return Bag { width, maybe: mask, certain: 0, rows: Vec::new() };
         }
         let par = Parallelism::new(self.threads);
-        let order = Estimator::sketch(store, bgp).order();
+        let order = join_order(bgp, &scan_counts(store, bgp));
         let last = order.len() - 1;
         // Seed: partition the first pattern's candidate range across workers
         // (the shared scan primitive; later levels partition the
@@ -145,11 +145,7 @@ impl BgpEngine for WcoEngine {
         Bag { width, maybe: mask, certain: if rows.is_empty() { 0 } else { mask }, rows }
     }
 
-    fn estimate_cardinality(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64 {
-        Estimator::sketch(store, bgp).cardinality
-    }
-
-    fn estimate_cost(&self, store: &Snapshot, bgp: &EncodedBgp) -> f64 {
+    fn estimate(&self, store: &Snapshot, bgp: &EncodedBgp) -> BgpEstimate {
         let sketch = Estimator::sketch(store, bgp);
         let mut cost = 0.0;
         for step in &sketch.steps {
@@ -159,7 +155,7 @@ impl BgpEngine for WcoEngine {
                 cost += step.card_before * step.min_avg_size; // WCO extension
             }
         }
-        cost
+        BgpEstimate { cardinality: sketch.cardinality, cost, order: sketch.order() }
     }
 }
 

@@ -36,8 +36,8 @@ pub struct PlanEntryStats {
     /// Epoch of the snapshot the plan was optimized against.
     pub epoch: u64,
     /// The optimizer's estimate of the plan's root-result scale
-    /// ([`uo_core::estimate_root_rows`]), captured at plan time; `None`
-    /// when the caller did not estimate.
+    /// ([`uo_core::Prepared::est_root_rows`]), captured at plan time;
+    /// `None` when the caller did not estimate.
     pub est_root: Option<f64>,
     /// Epoch-matched cache hits served from this entry.
     hits: AtomicU64,

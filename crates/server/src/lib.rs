@@ -88,9 +88,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use uo_core::{
-    estimate_root_rows, optimize_prepared, prepare_parsed, query_type, try_execute_ids,
-    try_run_update, try_run_update_durable, Cancellation, DurableUpdateError, IdRun, QueryCounters,
-    QueryType, Strategy,
+    optimize_prepared, prepare_parsed, query_type, try_execute_ids, try_run_update,
+    try_run_update_durable, Cancellation, DurableUpdateError, IdRun, QueryCounters, QueryType,
+    Strategy,
 };
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
 use uo_obs::{
@@ -143,7 +143,8 @@ pub struct ServerConfig {
     pub default_timeout_ms: u64,
     /// Upper bound on the per-request `timeout` parameter.
     pub max_timeout_ms: u64,
-    /// Socket read timeout (slow/stalled clients are dropped after this).
+    /// Socket read *and* write timeout: a client that stalls mid-request,
+    /// or stops reading a reply without closing, is dropped after this.
     pub read_timeout_ms: u64,
     /// Maximum accepted request-body size.
     pub max_body_bytes: usize,
@@ -780,7 +781,11 @@ fn run_maintenance(state: &ServerState) {
 }
 
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(state.cfg.read_timeout_ms.max(1))));
+    // One bound for both directions: a client that stops sending, or stops
+    // reading a reply without closing, releases its worker after this long.
+    let io_timeout = Some(Duration::from_millis(state.cfg.read_timeout_ms.max(1)));
+    let _ = stream.set_read_timeout(io_timeout);
+    let _ = stream.set_write_timeout(io_timeout);
     let _ = stream.set_nodelay(true);
     // The connection root span. Early exits (clients that connect and
     // leave, malformed heads) abandon it unrecorded, keeping traces to
@@ -1177,14 +1182,13 @@ fn handle_sparql(
                     &mut prepared,
                     state.cfg.strategy,
                 );
-                let est_root = estimate_root_rows(&snapshot, state.engine.as_ref(), &prepared);
                 let prepared = Arc::new(prepared);
                 let stats = state.cache.insert(
                     canonical,
                     epoch,
                     Arc::clone(&prepared),
                     transforms,
-                    Some(est_root),
+                    prepared.est_root_rows,
                 );
                 let co = match outcome {
                     cache::Lookup::Stale => CacheOutcome::Stale,

@@ -489,16 +489,9 @@ fn large_reply_is_sized_exactly_and_matches_the_library_bytes() {
     handle.shutdown();
 }
 
-/// ISSUE robustness: a client that reads only the head of a >= 100 k-row
-/// response and disconnects costs the server one connection — the write
-/// error stops the stream at once, the admission slot comes back (with one
-/// slot, a leak would 503 every later request), and the next request is
-/// served in full.
-#[test]
-fn disconnect_after_the_head_frees_the_admission_slot() {
-    let (st, handle) = start(ServerConfig { max_inflight: 1, ..ServerConfig::default() });
-    let addr = handle.addr();
-
+/// Requests the 160 k-row reply and reads only its head, leaving the body
+/// (far more than socket buffers hold) unread on the returned stream.
+fn read_only_the_head_of_the_big_reply(addr: SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let req = format!("GET /sparql?query={} HTTP/1.1\r\nHost: x\r\n\r\n", percent_encode(Q_BIG));
     stream.write_all(req.as_bytes()).expect("send request");
@@ -516,17 +509,54 @@ fn disconnect_after_the_head_frees_the_admission_slot() {
         .and_then(|v| v.trim().parse().ok())
         .expect("the head announces the body length");
     assert!(announced > 16 << 20, "the body must not fit in socket buffers: {announced}");
-    drop(stream);
+    stream
+}
 
+/// With one admission slot a leaked one would 503 every later request:
+/// waits for the slot to come back, then checks a request is served in full.
+fn assert_slot_returns_and_next_request_is_served(st: &TripleStore, addr: SocketAddr, why: &str) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while metrics(addr).get("inflight").and_then(Json::as_f64) != Some(0.0) {
-        assert!(Instant::now() < deadline, "the abandoned stream still holds its slot");
+        assert!(Instant::now() < deadline, "{why}");
         std::thread::sleep(Duration::from_millis(10));
     }
     let (status, body) = get_query(addr, Q_UO, None);
     assert_eq!(status, 200);
-    assert_eq!(body, expected_json(&st, Q_UO));
-    let m = metrics(addr);
-    assert_eq!(metric(&m, "queries", "rejected") as usize, 0);
+    assert_eq!(body, expected_json(st, Q_UO));
+    assert_eq!(metric(&metrics(addr), "queries", "rejected") as usize, 0);
+}
+
+/// ISSUE robustness: a client that reads only the head of a >= 100 k-row
+/// response and disconnects costs the server one connection — the write
+/// error stops the stream at once, the admission slot comes back, and the
+/// next request is served in full.
+#[test]
+fn disconnect_after_the_head_frees_the_admission_slot() {
+    let (st, handle) = start(ServerConfig { max_inflight: 1, ..ServerConfig::default() });
+    let addr = handle.addr();
+    drop(read_only_the_head_of_the_big_reply(addr));
+    assert_slot_returns_and_next_request_is_served(
+        &st,
+        addr,
+        "the abandoned stream still holds its slot",
+    );
+    handle.shutdown();
+}
+
+/// The same client, but it keeps the socket open and simply stops reading:
+/// no write error ever comes, so only the socket's write timeout (the
+/// `read_timeout_ms` bound, both directions) gets the worker out of `write`.
+#[test]
+fn stalled_reader_frees_the_admission_slot() {
+    let (st, handle) =
+        start(ServerConfig { max_inflight: 1, read_timeout_ms: 300, ..ServerConfig::default() });
+    let addr = handle.addr();
+    let stalled = read_only_the_head_of_the_big_reply(addr);
+    assert_slot_returns_and_next_request_is_served(
+        &st,
+        addr,
+        "a worker is parked in write for a client that stopped reading",
+    );
+    drop(stalled);
     handle.shutdown();
 }
