@@ -3,8 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use uo_datagen::{generate_lubm, LubmConfig};
+use uo_par::Parallelism;
 use uo_rdf::Term;
+use uo_store::Snapshot;
 
 fn bench_store(c: &mut Criterion) {
     let store = generate_lubm(&LubmConfig::tiny());
@@ -29,12 +32,13 @@ fn bench_store(c: &mut Criterion) {
     group.bench_function("lookup_spo", |b| {
         b.iter(|| black_box(store.match_pattern(Some(student), Some(takes), Some(dept)).len()))
     });
+    let rows: Vec<[u32; 3]> = store.iter().map(|t| t.as_array()).collect();
     group.bench_function("rebuild_indexes", |b| {
         b.iter_batched(
-            || store.clone(),
-            |mut st| {
-                st.build();
-                black_box(st.len())
+            || rows.clone(),
+            |rows| {
+                let dict = Arc::clone(store.dict_arc());
+                black_box(Snapshot::build_from(dict, rows, 1, Parallelism::from_env()).len())
             },
             criterion::BatchSize::LargeInput,
         )
@@ -49,7 +53,7 @@ fn bench_store(c: &mut Criterion) {
     let mut buf = Vec::new();
     uo_store::write_snapshot(&store, &mut buf).unwrap();
     group.bench_function("snapshot_read", |b| {
-        b.iter(|| black_box(uo_store::read_snapshot(&mut buf.as_slice()).unwrap().len()))
+        b.iter(|| black_box(uo_store::read_snapshot(&mut buf.as_slice()).unwrap().snapshot().len()))
     });
     group.finish();
 }

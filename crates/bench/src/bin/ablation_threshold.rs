@@ -4,7 +4,9 @@
 
 use std::time::Instant;
 use uo_bench::{dbpedia_store, group1, header, lubm_group1, ms, row};
-use uo_core::{evaluate, prepare, Pruning};
+use uo_core::{
+    prepare, try_evaluate_profiled, Cancellation, EvalCtx, Parallelism, Profiler, Pruning,
+};
 use uo_datagen::Dataset;
 use uo_engine::WcoEngine;
 
@@ -27,7 +29,19 @@ fn main() {
             ] {
                 let prepared = prepare(&store, q.text).unwrap();
                 let t = Instant::now();
-                let _ = evaluate(&prepared.tree, &store, &engine, prepared.vars.len(), pruning);
+                let _ = try_evaluate_profiled(
+                    &prepared.tree,
+                    &store,
+                    &engine,
+                    prepared.vars.len(),
+                    pruning,
+                    Parallelism::from_env(),
+                    &Cancellation::none(),
+                    &EvalCtx::new(store.dictionary()),
+                    Profiler::off(),
+                    None,
+                    None,
+                );
                 cells.push(ms(t.elapsed()));
             }
             row(&cells);

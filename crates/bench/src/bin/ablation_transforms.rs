@@ -3,7 +3,10 @@
 
 use std::time::Instant;
 use uo_bench::{dbpedia_store, group1, header, lubm_group1, ms, row};
-use uo_core::{evaluate, multi_level_transform, prepare, CostModel, OptimizerConfig, Pruning};
+use uo_core::{
+    multi_level_transform, prepare, try_execute_ids, Cancellation, CostModel, OptimizerConfig,
+    Parallelism, Profiler, Strategy,
+};
 use uo_datagen::Dataset;
 use uo_engine::WcoEngine;
 
@@ -42,8 +45,16 @@ fn main() {
                         injects = out.injects;
                     }
                 }
-                let _ =
-                    evaluate(&prepared.tree, &store, &engine, prepared.vars.len(), Pruning::Off);
+                // `TreeTransform` executes without candidate pruning.
+                let _ = try_execute_ids(
+                    &store,
+                    &engine,
+                    &prepared,
+                    Strategy::TreeTransform,
+                    Parallelism::from_env(),
+                    &Cancellation::none(),
+                    Profiler::off(),
+                );
                 cells.push(ms(t.elapsed()));
             }
             cells.push(merges.to_string());

@@ -19,7 +19,6 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Instant;
 use uo_bench::{group1, lubm_group1, scale};
 use uo_core::{run_query_with, Parallelism, Strategy};
@@ -61,7 +60,7 @@ fn main() {
     let out = flag(&args, "--out").unwrap_or("BENCH_SERVE.json").to_string();
 
     eprintln!("perf_serve: building LUBM store (UO_SCALE={})...", scale());
-    let store = Arc::new(lubm_group1());
+    let store = lubm_group1();
     let queries = group1(Dataset::Lubm);
 
     // Reference bodies: the server must return exactly these bytes. The
@@ -88,7 +87,7 @@ fn main() {
         max_inflight: clients.max(4) * 2,
         ..uo_server::ServerConfig::default()
     };
-    let handle = uo_server::start(store.snapshot(), cfg, 0).expect("start server");
+    let handle = uo_server::start(store, cfg, 0).expect("start server");
     let addr = handle.addr();
     eprintln!(
         "perf_serve: {} clients x {} requests against http://{addr} ({threads} workers)",

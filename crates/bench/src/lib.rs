@@ -21,6 +21,7 @@ pub use uo_json as json;
 
 pub mod perf;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uo_core::{run_query, RunReport, Strategy};
 use uo_datagen::{
@@ -28,7 +29,7 @@ use uo_datagen::{
     LubmConfig,
 };
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
-use uo_store::TripleStore;
+use uo_store::Snapshot;
 
 /// The global scale multiplier from `UO_SCALE` (default 1.0).
 pub fn scale() -> f64 {
@@ -41,23 +42,23 @@ fn scaled(base: usize) -> usize {
 
 /// The LUBM store used by the group-1 experiments (Figures 10–11): two
 /// universities (~70k triples at scale 1).
-pub fn lubm_group1() -> TripleStore {
+pub fn lubm_group1() -> Arc<Snapshot> {
     generate_lubm(&LubmConfig { universities: scaled(2), ..LubmConfig::default() })
 }
 
 /// The LUBM store used by the LBR comparison: thirteen universities so the
 /// `University12` constants of q2.5/q2.6 resolve.
-pub fn lubm_group2() -> TripleStore {
+pub fn lubm_group2() -> Arc<Snapshot> {
     generate_lubm(&LubmConfig { universities: scaled(13), ..LubmConfig::default() })
 }
 
 /// A LUBM store at an explicit university count (Figure 12's sweep).
-pub fn lubm_at(universities: usize) -> TripleStore {
+pub fn lubm_at(universities: usize) -> Arc<Snapshot> {
     generate_lubm(&LubmConfig { universities, ..LubmConfig::default() })
 }
 
 /// The DBpedia-style store (~250k triples at scale 1).
-pub fn dbpedia_store() -> TripleStore {
+pub fn dbpedia_store() -> Arc<Snapshot> {
     generate_dbpedia(&DbpediaConfig { articles: scaled(15_000), ..DbpediaConfig::default() })
 }
 
@@ -71,7 +72,7 @@ pub fn engines() -> Vec<(&'static str, Box<dyn BgpEngine>)> {
 
 /// Runs one query under one strategy and returns the report with wall time.
 pub fn run(
-    store: &TripleStore,
+    store: &Snapshot,
     engine: &dyn BgpEngine,
     q: &BenchQuery,
     strategy: Strategy,

@@ -18,12 +18,13 @@
 //! semantic regressions that timing noise would hide.
 
 use crate::{dbpedia_store, group1, scale};
+use std::sync::Arc;
 use std::time::Instant;
 use uo_core::{run_query_with, Parallelism, Strategy};
 use uo_datagen::Dataset;
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
 use uo_json::{self as json, Json};
-use uo_store::TripleStore;
+use uo_store::Snapshot;
 
 /// Artifact schema identifier; bump when the layout changes.
 pub const SCHEMA: &str = "uo-perf/1";
@@ -132,7 +133,7 @@ fn engine_pair(name: &str, threads: usize) -> (Box<dyn BgpEngine>, Box<dyn BgpEn
 /// the sequential run — determinism is part of the suite's contract.
 pub fn run_suite(threads: usize, repeats: usize) -> PerfReport {
     let repeats = repeats.max(1);
-    let datasets: Vec<(&str, Dataset, TripleStore)> = vec![
+    let datasets: Vec<(&str, Dataset, Arc<Snapshot>)> = vec![
         ("lubm", Dataset::Lubm, crate::lubm_group1()),
         ("dbpedia", Dataset::Dbpedia, dbpedia_store()),
     ];
@@ -603,13 +604,13 @@ fn count_ops(p: &uo_core::OpProfile) -> usize {
 }
 
 fn execute_with_profiler(
-    store: &TripleStore,
+    store: &Arc<Snapshot>,
     engine: &dyn BgpEngine,
     prepared: &uo_core::Prepared,
     profiler: uo_core::Profiler,
 ) -> uo_core::RunReport {
     uo_core::try_execute_prepared_profiled(
-        &store.snapshot(),
+        store,
         engine,
         prepared,
         Strategy::Full,
@@ -631,7 +632,7 @@ fn execute_with_profiler(
 pub fn run_profile_overhead(repeats: usize) -> ProfileOverheadReport {
     use uo_core::Profiler;
     let repeats = repeats.max(1);
-    let datasets: Vec<(&str, Dataset, TripleStore)> = vec![
+    let datasets: Vec<(&str, Dataset, Arc<Snapshot>)> = vec![
         ("lubm", Dataset::Lubm, crate::lubm_group1()),
         ("dbpedia", Dataset::Dbpedia, dbpedia_store()),
     ];
@@ -640,14 +641,9 @@ pub fn run_profile_overhead(repeats: usize) -> ProfileOverheadReport {
         for q in group1(*dataset) {
             for eng_name in ["wco", "binary"] {
                 let (engine, _) = engine_pair(eng_name, 1);
-                let mut prepared = uo_core::prepare(&store.snapshot(), q.text)
+                let mut prepared = uo_core::prepare(store, q.text)
                     .unwrap_or_else(|e| panic!("{} failed to parse: {e}", q.id));
-                uo_core::optimize_prepared(
-                    &store.snapshot(),
-                    engine.as_ref(),
-                    &mut prepared,
-                    Strategy::Full,
-                );
+                uo_core::optimize_prepared(store, engine.as_ref(), &mut prepared, Strategy::Full);
                 let mut wall_ms_off = f64::INFINITY;
                 let mut wall_ms_on = f64::INFINITY;
                 let mut results = None;
@@ -798,7 +794,7 @@ impl TraceOverheadReport {
 /// therefore the same per-request recorder cost) as the server's
 /// `handle_sparql`. Returns the result count.
 fn execute_traced(
-    store: &TripleStore,
+    store: &Arc<Snapshot>,
     engine: &dyn BgpEngine,
     prepared: &uo_core::Prepared,
     tracer: &uo_obs::Tracer,
@@ -822,7 +818,7 @@ fn execute_traced(
 /// run recorded no events — the overhead numbers would be meaningless.
 pub fn run_trace_overhead(repeats: usize) -> TraceOverheadReport {
     let repeats = repeats.max(1);
-    let datasets: Vec<(&str, Dataset, TripleStore)> = vec![
+    let datasets: Vec<(&str, Dataset, Arc<Snapshot>)> = vec![
         ("lubm", Dataset::Lubm, crate::lubm_group1()),
         ("dbpedia", Dataset::Dbpedia, dbpedia_store()),
     ];
@@ -831,14 +827,9 @@ pub fn run_trace_overhead(repeats: usize) -> TraceOverheadReport {
         for q in group1(*dataset) {
             for eng_name in ["wco", "binary"] {
                 let (engine, _) = engine_pair(eng_name, 1);
-                let mut prepared = uo_core::prepare(&store.snapshot(), q.text)
+                let mut prepared = uo_core::prepare(store, q.text)
                     .unwrap_or_else(|e| panic!("{} failed to parse: {e}", q.id));
-                uo_core::optimize_prepared(
-                    &store.snapshot(),
-                    engine.as_ref(),
-                    &mut prepared,
-                    Strategy::Full,
-                );
+                uo_core::optimize_prepared(store, engine.as_ref(), &mut prepared, Strategy::Full);
                 let mut wall_ms_off = f64::INFINITY;
                 let mut wall_ms_on = f64::INFINITY;
                 let mut results = None;
@@ -1028,11 +1019,11 @@ fn mixed_update_request(round: usize) -> uo_sparql::UpdateRequest {
     }
 }
 
-fn run_mixed_once(store: &TripleStore, workers: usize) -> (MixedOutcome, MixedTiming) {
+fn run_mixed_once(store: &Arc<Snapshot>, workers: usize) -> (MixedOutcome, MixedTiming) {
     let par = Parallelism::new(workers);
     let engine = WcoEngine::with_threads(workers);
     let queries = group1(Dataset::Lubm);
-    let mut writer = uo_store::StoreWriter::from_snapshot(store.snapshot());
+    let mut writer = uo_store::StoreWriter::from_snapshot(Arc::clone(store));
     let mut outcome = MixedOutcome {
         query_results: Vec::new(),
         triples_final: 0,
@@ -1074,7 +1065,7 @@ fn run_mixed_once(store: &TripleStore, workers: usize) -> (MixedOutcome, MixedTi
 /// the per-commit [`CommitStats`](uo_store::CommitStats), plumbed through
 /// replay, bound both the sorted and the merged rows by the deltas, never
 /// the base.
-fn run_mixed_durable_recovery(store: &TripleStore, reference: &MixedOutcome) -> RecoveryOutcome {
+fn run_mixed_durable_recovery(store: &Arc<Snapshot>, reference: &MixedOutcome) -> RecoveryOutcome {
     use uo_store::DurableOptions;
     let engine = WcoEngine::sequential();
     let par = Parallelism::sequential();
@@ -1084,7 +1075,7 @@ fn run_mixed_durable_recovery(store: &TripleStore, reference: &MixedOutcome) -> 
     {
         let mut ds = uo_core::open_durable(&dir, DurableOptions::default(), &engine, par)
             .expect("open durable store");
-        ds.seed(store.snapshot()).expect("seed durable store");
+        ds.seed(Arc::clone(store)).expect("seed durable store");
         for round in 0..MIXED_ROUNDS {
             let request = mixed_update_request(round);
             uo_core::run_update_durable(&mut ds, &engine, &request, par).expect("durable update");
@@ -1293,7 +1284,7 @@ pub fn run_wal_suite(rounds: usize, batch: usize) -> WalPerfReport {
         let (triples_final, epoch_final) = {
             let mut ds =
                 uo_core::open_durable(&dir, opts, &engine, par).expect("open durable store");
-            ds.seed(store.snapshot()).expect("seed durable store");
+            ds.seed(Arc::clone(&store)).expect("seed durable store");
             for round in 0..rounds {
                 let mut text = String::from("INSERT DATA {\n");
                 for i in 0..batch {

@@ -63,11 +63,13 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 use uo_core::{prepare, IdRun, Parallelism, Profiler, ResultSet, Strategy};
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
+use uo_rdf::{Dictionary, Id, Term};
 use uo_sparql::{ResultFormat, ResultWriter};
-use uo_store::TripleStore;
+use uo_store::Snapshot;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -179,26 +181,28 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn load_store(path_str: &str, par: Parallelism) -> Result<TripleStore, String> {
+/// Loads a `.uost` snapshot, or bulk-builds one at epoch 1 from an
+/// N-Triples or Turtle document.
+fn load_store(path_str: &str, par: Parallelism) -> Result<Arc<Snapshot>, String> {
     let path = Path::new(path_str);
     let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
     let t0 = Instant::now();
-    let store = match ext {
-        "uost" => uo_store::load_from_file(path).map_err(|e| e.to_string())?,
-        "ttl" | "turtle" => {
-            let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            let mut st = TripleStore::new();
-            st.load_turtle(&doc).map_err(|e| e.to_string())?;
-            st.build_with(par);
-            st
-        }
-        _ => {
-            let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            let mut st = TripleStore::new();
-            st.load_ntriples(&doc).map_err(|e| e.to_string())?;
-            st.build_with(par);
-            st
-        }
+    let store = if ext == "uost" {
+        uo_store::load_from_file(path).map_err(|e| e.to_string())?.snapshot()
+    } else {
+        let doc = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        let mut dict = Dictionary::new();
+        let mut rows: Vec<[Id; 3]> = Vec::new();
+        let mut emit = |s: Term, p: Term, o: Term| {
+            rows.push([dict.encode(&s), dict.encode(&p), dict.encode(&o)]);
+        };
+        match ext {
+            "ttl" | "turtle" => {
+                uo_rdf::turtle::parse_turtle_each(&doc, &mut emit).map_err(|e| e.to_string())?
+            }
+            _ => uo_rdf::ntriples::parse_document_each(&doc, emit).map_err(|e| e.to_string())?,
+        };
+        Arc::new(Snapshot::build_from(Arc::new(dict), rows, 1, par))
     };
     eprintln!("loaded {} triples from {path_str} in {:.2?}", store.len(), t0.elapsed());
     Ok(store)
@@ -248,7 +252,7 @@ struct Analyzed<'a> {
 /// Parses, optimizes and executes `text`; with `profiler` on the profile
 /// carries the operator span tree.
 fn run_analyzed<'a>(
-    store: &'a TripleStore,
+    store: &'a Snapshot,
     engine: &dyn BgpEngine,
     text: &str,
     strategy: Strategy,
@@ -487,7 +491,7 @@ fn cmd_update(args: &[String], par: Parallelism) -> Result<(), String> {
     };
     let request = uo_sparql::parse_update(&text).map_err(|e| e.to_string())?;
     let store = load_store(input, par)?;
-    let mut writer = uo_store::StoreWriter::from_snapshot(store.snapshot());
+    let mut writer = uo_store::StoreWriter::from_snapshot(store);
     let engine = WcoEngine::with_threads(par.threads());
     let report = uo_core::run_update(&mut writer, &engine, &request, par);
     eprintln!(
@@ -727,7 +731,7 @@ fn cmd_serve(args: &[String], par: Parallelism) -> Result<(), String> {
             if ds.is_fresh() {
                 let store = load_store(input, par)?;
                 if !store.is_empty() {
-                    ds.seed(store.snapshot()).map_err(|e| e.to_string())?;
+                    ds.seed(store).map_err(|e| e.to_string())?;
                     eprintln!("seeded {dir} from {input} (checkpoint written)");
                 }
             } else {
@@ -757,7 +761,7 @@ fn cmd_serve(args: &[String], par: Parallelism) -> Result<(), String> {
                 }
             }
             let store = load_store(input, par)?;
-            uo_server::start(store.snapshot(), cfg.clone(), port).map_err(|e| e.to_string())?
+            uo_server::start(store, cfg.clone(), port).map_err(|e| e.to_string())?
         }
     };
     eprintln!(
@@ -915,9 +919,9 @@ mod tests {
         .unwrap();
         // The persisted snapshot reflects the update (2 link triples, no
         // name) and carries the bumped epoch.
-        let loaded = uo_store::load_from_file(&snap).unwrap();
+        let loaded = uo_store::load_from_file(&snap).unwrap().snapshot();
         assert_eq!(loaded.len(), 2);
-        assert!(loaded.snapshot().epoch() >= 2);
+        assert!(loaded.epoch() >= 2);
         let name = loaded.dictionary().lookup(&uo_rdf::Term::iri("http://p/name"));
         assert!(name.is_none() || loaded.count_pattern(None, name, None) == 0);
         run(&s(&[
@@ -969,9 +973,9 @@ mod tests {
             "1",
         ]))
         .unwrap();
-        let loaded = uo_store::load_from_file(&out).unwrap();
+        let loaded = uo_store::load_from_file(&out).unwrap().snapshot();
         assert_eq!(loaded.len(), 3);
-        assert_eq!(loaded.snapshot().epoch(), 3);
+        assert_eq!(loaded.epoch(), 3);
         // First compact checkpoints at epoch 3 (nothing retired yet —
         // retention wants two checkpoints). Two more updates advance the
         // epoch, then a second compact checkpoints at 5 and retires every

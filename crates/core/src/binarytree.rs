@@ -38,21 +38,8 @@ pub fn evaluate_binary_tree(
     width: usize,
 ) -> (Bag, BinaryTreeStats) {
     let ctx = EvalCtx::new(store.dictionary());
-    evaluate_binary_tree_ctx(tree, store, width, &ctx)
-}
-
-/// [`evaluate_binary_tree`] against a caller-supplied [`EvalCtx`]. Sharing
-/// one context with another evaluator makes their result bags directly
-/// comparable even when BIND/VALUES mint synthetic ids (equal terms get
-/// equal ids across both runs).
-pub fn evaluate_binary_tree_ctx(
-    tree: &BeTree,
-    store: &Snapshot,
-    width: usize,
-    ctx: &EvalCtx,
-) -> (Bag, BinaryTreeStats) {
     let mut stats = BinaryTreeStats::default();
-    let bag = eval_group(&tree.root, store, width, &mut stats, ctx);
+    let bag = eval_group(&tree.root, store, width, &mut stats, &ctx);
     (bag, stats)
 }
 
@@ -158,12 +145,13 @@ fn eval_group(
 mod tests {
     use super::*;
     use crate::{run_query, Strategy};
+    use std::sync::Arc;
     use uo_engine::WcoEngine;
     use uo_rdf::Term;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         for i in 0..50 {
             let p = Term::iri(format!("http://person{i}"));
             st.insert_terms(
@@ -175,8 +163,7 @@ mod tests {
                 st.insert_terms(&p, &Term::iri("http://link"), &Term::iri("http://POTUS"));
             }
         }
-        st.build();
-        st
+        st.commit()
     }
 
     const Q: &str = "SELECT WHERE {

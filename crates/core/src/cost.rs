@@ -202,14 +202,15 @@ pub fn empty_bgp_node() -> BgpNode {
 mod tests {
     use super::*;
     use crate::betree::BeTree;
+    use std::sync::Arc;
     use uo_engine::WcoEngine;
     use uo_rdf::Term;
     use uo_sparql::algebra::VarTable;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
     /// hub has 5 q-edges; 100 p-edges chain.
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         for i in 0..100 {
             st.insert_terms(
                 &Term::iri(format!("http://n{i}")),
@@ -224,8 +225,7 @@ mod tests {
                 &Term::iri(format!("http://n{i}")),
             );
         }
-        st.build();
-        st
+        st.commit()
     }
 
     fn tree(q: &str, st: &Snapshot) -> (BeTree, VarTable) {

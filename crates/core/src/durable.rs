@@ -160,7 +160,6 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use uo_engine::WcoEngine;
-    use uo_store::TripleStore;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -275,14 +274,13 @@ mod tests {
     fn seeded_store_recovers_seed_plus_updates() {
         let dir = temp_dir("seeded");
         {
-            let mut st = TripleStore::new();
+            let mut st = StoreWriter::new();
             st.load_ntriples(
                 "<http://s1> <http://p> <http://o1> .\n<http://s2> <http://p> <http://o2> .\n",
             )
             .unwrap();
-            st.build_with(Parallelism::sequential());
             let mut ds = open(&dir);
-            ds.seed(st.snapshot()).unwrap();
+            ds.seed(st.commit_with(Parallelism::sequential())).unwrap();
             apply(&mut ds, "INSERT DATA { <http://s3> <http://p> <http://o3> }");
         }
         let ds = open(&dir);

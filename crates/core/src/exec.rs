@@ -280,87 +280,19 @@ fn intersect_sorted(a: &[Id], b: &[Id]) -> Vec<Id> {
 }
 
 /// Evaluates a BE-tree over `width` query variables (Algorithm 1, optionally
-/// augmented with candidate pruning). Worker count comes from the
-/// `UO_THREADS` environment knob; see [`evaluate_with`].
-pub fn evaluate(
-    tree: &BeTree,
-    store: &Snapshot,
-    engine: &dyn BgpEngine,
-    width: usize,
-    pruning: Pruning,
-) -> (Bag, ExecStats) {
-    evaluate_with(tree, store, engine, width, pruning, Parallelism::from_env())
-}
-
-/// [`evaluate`] with an explicit parallelism policy. Above one worker the
-/// branches of every UNION node are evaluated concurrently and merged in
-/// branch order, so the result (and the recorded statistics) are identical
-/// to a sequential evaluation.
-pub fn evaluate_with(
-    tree: &BeTree,
-    store: &Snapshot,
-    engine: &dyn BgpEngine,
-    width: usize,
-    pruning: Pruning,
-    par: Parallelism,
-) -> (Bag, ExecStats) {
-    try_evaluate_with(tree, store, engine, width, pruning, par, &Cancellation::none())
-        .expect("evaluation without a cancellation token cannot be cancelled")
-}
-
-/// [`evaluate_with`] under a [`Cancellation`] token, checked before every
-/// BGP evaluation. Returns `Err(Cancelled)` as soon as the token fires; the
-/// partial bag is discarded.
-#[allow(clippy::too_many_arguments)]
-pub fn try_evaluate_with(
-    tree: &BeTree,
-    store: &Snapshot,
-    engine: &dyn BgpEngine,
-    width: usize,
-    pruning: Pruning,
-    par: Parallelism,
-    cancel: &Cancellation,
-) -> Result<(Bag, ExecStats), Cancelled> {
-    let ctx = EvalCtx::new(store.dictionary());
-    try_evaluate_with_ctx(tree, store, engine, width, pruning, par, cancel, &ctx)
-}
-
-/// [`try_evaluate_with`] against a caller-supplied [`EvalCtx`]. Required
-/// whenever the caller must decode the result bag afterwards: BIND, VALUES
-/// and aggregate outputs may mint synthetic ids that only this context can
-/// resolve back to terms.
-#[allow(clippy::too_many_arguments)]
-pub fn try_evaluate_with_ctx(
-    tree: &BeTree,
-    store: &Snapshot,
-    engine: &dyn BgpEngine,
-    width: usize,
-    pruning: Pruning,
-    par: Parallelism,
-    cancel: &Cancellation,
-    ctx: &EvalCtx,
-) -> Result<(Bag, ExecStats), Cancelled> {
-    let (bag, stats, _) = try_evaluate_profiled(
-        tree,
-        store,
-        engine,
-        width,
-        pruning,
-        par,
-        cancel,
-        ctx,
-        Profiler::off(),
-        None,
-        None,
-    )?;
-    Ok((bag, stats))
-}
-
-/// [`try_evaluate_with_ctx`] with an opt-in [`Profiler`]. When the profiler
-/// is on, every plan operator records a span — wall nanoseconds (inclusive
-/// of joining its output into the accumulator), actual output cardinality,
-/// and (for BGP nodes) the optimizer's cardinality estimate — returned as a
-/// tree rooted at the plan's top group. `vars` supplies variable names for
+/// augmented with candidate pruning) against `ctx`, under a
+/// [`Cancellation`] token checked before every BGP evaluation: once it
+/// fires the partial bag is discarded and `Err(Cancelled)` returned. Above
+/// one worker the branches of every UNION node are evaluated concurrently
+/// and merged in branch order, so the result (and the recorded statistics)
+/// are identical to a sequential evaluation. The caller must decode the
+/// bag with `ctx`: BIND, VALUES and aggregate outputs may mint synthetic ids
+/// that only this context can resolve back to terms.
+///
+/// With the [`Profiler`] on, every plan operator records a span — wall
+/// nanoseconds (inclusive of joining its output into the accumulator),
+/// actual output cardinality, and (for BGP nodes) the optimizer's
+/// cardinality estimate — returned as a tree rooted at the plan's top group. `vars` supplies variable names for
 /// span details; positional placeholders are used when absent.
 ///
 /// Span *structure* and cardinalities are deterministic: parallel UNION
@@ -858,10 +790,10 @@ mod tests {
     use uo_engine::{BinaryJoinEngine, WcoEngine};
     use uo_rdf::Term;
     use uo_sparql::algebra::VarTable;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         let name = Term::iri("http://name");
         let label = Term::iri("http://label");
         let same = Term::iri("http://sameAs");
@@ -881,8 +813,35 @@ mod tests {
                 st.insert_terms(&p, &link, &potus);
             }
         }
-        st.build();
-        st
+        st.commit()
+    }
+
+    /// [`try_evaluate_profiled`] with a fresh context, no profiler and no
+    /// row budget.
+    fn eval(
+        tree: &BeTree,
+        st: &Snapshot,
+        engine: &dyn BgpEngine,
+        width: usize,
+        pruning: Pruning,
+        par: Parallelism,
+        cancel: &Cancellation,
+    ) -> Result<(Bag, ExecStats), Cancelled> {
+        let ctx = EvalCtx::new(st.dictionary());
+        let (bag, stats, _) = try_evaluate_profiled(
+            tree,
+            st,
+            engine,
+            width,
+            pruning,
+            par,
+            cancel,
+            &ctx,
+            Profiler::off(),
+            None,
+            None,
+        )?;
+        Ok((bag, stats))
     }
 
     fn run(q: &str, st: &Snapshot, pruning: Pruning) -> (Bag, ExecStats, VarTable) {
@@ -890,7 +849,9 @@ mod tests {
         let mut vars = VarTable::new();
         let tree = BeTree::build(&query, &mut vars, st.dictionary());
         let engine = WcoEngine::new();
-        let (bag, stats) = evaluate(&tree, st, &engine, vars.len(), pruning);
+        let none = Cancellation::none();
+        let (bag, stats) =
+            eval(&tree, st, &engine, vars.len(), pruning, Parallelism::from_env(), &none).unwrap();
         (bag, stats, vars)
     }
 
@@ -1054,8 +1015,9 @@ mod tests {
         let tree = BeTree::build(&query, &mut vars, st.dictionary());
         let wco = WcoEngine::new();
         let bin = BinaryJoinEngine::new();
-        let (a, _) = evaluate(&tree, &st, &wco, vars.len(), Pruning::Off);
-        let (b, _) = evaluate(&tree, &st, &bin, vars.len(), Pruning::Off);
+        let (par, none) = (Parallelism::from_env(), Cancellation::none());
+        let (a, _) = eval(&tree, &st, &wco, vars.len(), Pruning::Off, par, &none).unwrap();
+        let (b, _) = eval(&tree, &st, &bin, vars.len(), Pruning::Off, par, &none).unwrap();
         assert_eq!(a.canonicalized(), b.canonicalized());
     }
 
@@ -1065,20 +1027,18 @@ mod tests {
         let query = uo_sparql::parse(UNION_Q).unwrap();
         let mut vars = VarTable::new();
         let tree = BeTree::build(&query, &mut vars, st.dictionary());
+        let width = vars.len();
+        let none = Cancellation::none();
         for pruning in [Pruning::Off, Pruning::fixed_for(&st)] {
             let engine = WcoEngine::sequential();
             let (seq, seq_stats) =
-                evaluate_with(&tree, &st, &engine, vars.len(), pruning, Parallelism::sequential());
+                eval(&tree, &st, &engine, width, pruning, Parallelism::sequential(), &none)
+                    .unwrap();
             for threads in [2, 4, 8] {
                 let engine = WcoEngine::with_threads(threads);
-                let (par, par_stats) = evaluate_with(
-                    &tree,
-                    &st,
-                    &engine,
-                    vars.len(),
-                    pruning,
-                    Parallelism::new(threads),
-                );
+                let (par, par_stats) =
+                    eval(&tree, &st, &engine, width, pruning, Parallelism::new(threads), &none)
+                        .unwrap();
                 assert_eq!(par.rows, seq.rows, "rows must be bit-identical at {threads} threads");
                 assert_eq!(par_stats.bgp_evals, seq_stats.bgp_evals);
                 assert_eq!(par_stats.bgp_result_sizes, seq_stats.bgp_result_sizes);
@@ -1093,7 +1053,9 @@ mod tests {
         let st = store();
         let tree = BeTree { root: GroupNode::default() };
         let engine = WcoEngine::new();
-        let (bag, _) = evaluate(&tree, &st, &engine, 2, Pruning::Off);
+        let none = Cancellation::none();
+        let (bag, _) =
+            eval(&tree, &st, &engine, 2, Pruning::Off, Parallelism::from_env(), &none).unwrap();
         assert!(bag.is_unit());
     }
 
@@ -1107,8 +1069,7 @@ mod tests {
         let cancel = Cancellation::at(Instant::now() - Duration::from_millis(1));
         assert!(cancel.is_cancelled());
         for par in [Parallelism::sequential(), Parallelism::new(4)] {
-            let got =
-                try_evaluate_with(&tree, &st, &engine, vars.len(), Pruning::Off, par, &cancel);
+            let got = eval(&tree, &st, &engine, vars.len(), Pruning::Off, par, &cancel);
             assert_eq!(got.err(), Some(Cancelled));
         }
     }
@@ -1123,26 +1084,12 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let cancel = Cancellation::none().with_flag(flag.clone());
         assert!(!cancel.is_none());
-        let ok = try_evaluate_with(
-            &tree,
-            &st,
-            &engine,
-            vars.len(),
-            Pruning::Off,
-            Parallelism::sequential(),
-            &cancel,
-        );
+        let ok =
+            eval(&tree, &st, &engine, vars.len(), Pruning::Off, Parallelism::sequential(), &cancel);
         assert_eq!(ok.unwrap().0.len(), 4);
         flag.store(true, Ordering::Relaxed);
-        let cancelled = try_evaluate_with(
-            &tree,
-            &st,
-            &engine,
-            vars.len(),
-            Pruning::Off,
-            Parallelism::sequential(),
-            &cancel,
-        );
+        let cancelled =
+            eval(&tree, &st, &engine, vars.len(), Pruning::Off, Parallelism::sequential(), &cancel);
         assert_eq!(cancelled.err(), Some(Cancelled));
     }
 
@@ -1166,8 +1113,8 @@ mod tests {
         let ctx = EvalCtx::new(st.dictionary());
         let engine = WcoEngine::sequential();
         // Off: no spans, same bag as the plain path.
-        let (plain, _) =
-            evaluate_with(&tree, &st, &engine, vars.len(), Pruning::Off, Parallelism::sequential());
+        let (seq, none) = (Parallelism::sequential(), Cancellation::none());
+        let (plain, _) = eval(&tree, &st, &engine, vars.len(), Pruning::Off, seq, &none).unwrap();
         let (off_bag, _, off_prof) = try_evaluate_profiled(
             &tree,
             &st,
@@ -1224,17 +1171,13 @@ mod tests {
         let mut vars = VarTable::new();
         let tree = BeTree::build(&query, &mut vars, st.dictionary());
         let engine = WcoEngine::new();
-        let (plain, plain_stats) = evaluate(&tree, &st, &engine, vars.len(), Pruning::Off);
-        let (tried, tried_stats) = try_evaluate_with(
-            &tree,
-            &st,
-            &engine,
-            vars.len(),
-            Pruning::Off,
-            Parallelism::from_env(),
-            &Cancellation::after(Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let (width, par) = (vars.len(), Parallelism::from_env());
+        let never = Cancellation::after(Duration::from_secs(3600));
+        let none = Cancellation::none();
+        let (plain, plain_stats) =
+            eval(&tree, &st, &engine, width, Pruning::Off, par, &none).unwrap();
+        let (tried, tried_stats) =
+            eval(&tree, &st, &engine, width, Pruning::Off, par, &never).unwrap();
         assert_eq!(plain.rows, tried.rows);
         assert_eq!(plain_stats.bgp_evals, tried_stats.bgp_evals);
     }

@@ -24,15 +24,15 @@
 //! ```
 //! use uo_core::{run_query, Strategy};
 //! use uo_engine::WcoEngine;
-//! use uo_store::TripleStore;
+//! use uo_store::StoreWriter;
 //!
-//! let mut store = TripleStore::new();
-//! store.load_ntriples(r#"
+//! let mut writer = StoreWriter::new();
+//! writer.load_ntriples(r#"
 //! <http://ex/bill> <http://ex/link> <http://ex/POTUS> .
 //! <http://ex/bill> <http://ex/sameAs> <http://fb/bill> .
 //! <http://ex/jane> <http://ex/sameAs> <http://fb/jane> .
 //! "#).unwrap();
-//! store.build();
+//! let store = writer.commit();
 //!
 //! let report = run_query(
 //!     &store,
@@ -63,16 +63,13 @@ pub mod update;
 pub mod wdpt;
 
 pub use betree::{explain, BeNode, BeTree, BgpNode, EvalCtx, ExprError, GroupNode};
-pub use binarytree::{evaluate_binary_tree, evaluate_binary_tree_ctx, BinaryTreeStats};
+pub use binarytree::{evaluate_binary_tree, BinaryTreeStats};
 pub use cost::CostModel;
 pub use durable::{
     open_durable, open_durable_traced, replay_update, run_update_durable, try_run_update_durable,
     DurableUpdateError,
 };
-pub use exec::{
-    evaluate, evaluate_with, try_evaluate_profiled, try_evaluate_with, try_evaluate_with_ctx,
-    Cancellation, Cancelled, ExecStats, Pruning,
-};
+pub use exec::{try_evaluate_profiled, Cancellation, Cancelled, ExecStats, Pruning};
 pub use metrics::{count_bgp, query_type, QueryCounters, QueryCountersSnapshot, QueryType};
 pub use optimizer::{multi_level_transform, OptimizerConfig, TransformOutcome};
 pub use uo_obs::{CacheOutcome, OpProfile, Profiler, QueryProfile};
@@ -818,11 +815,12 @@ fn top_k_solutions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use uo_engine::{BinaryJoinEngine, WcoEngine};
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         let mut doc = String::new();
         for i in 0..200 {
             doc.push_str(&format!("<http://p{i}> <http://sameAs> <http://ext{i}> .\n"));
@@ -836,8 +834,7 @@ mod tests {
             }
         }
         st.load_ntriples(&doc).unwrap();
-        st.build();
-        st
+        st.commit()
     }
 
     const Q: &str = "SELECT ?x ?n ?s WHERE {
@@ -1052,7 +1049,7 @@ mod tests {
 
     #[test]
     fn order_by_sorts_results() {
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for (name, age) in [("carol", 35), ("alice", 42), ("bob", 7)] {
             st.insert_terms(
                 &Term::iri(format!("http://{name}")),
@@ -1060,7 +1057,7 @@ mod tests {
                 &Term::typed_literal(age.to_string(), "http://www.w3.org/2001/XMLSchema#integer"),
             );
         }
-        st.build();
+        let st = st.commit();
         let wco = WcoEngine::new();
         let asc = run_query(
             &st,
@@ -1087,7 +1084,7 @@ mod tests {
 
     #[test]
     fn numeric_filter_comparison() {
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for (name, age) in [("carol", 35), ("alice", 42), ("bob", 7)] {
             st.insert_terms(
                 &Term::iri(format!("http://{name}")),
@@ -1095,7 +1092,7 @@ mod tests {
                 &Term::typed_literal(age.to_string(), "http://www.w3.org/2001/XMLSchema#integer"),
             );
         }
-        st.build();
+        let st = st.commit();
         let wco = WcoEngine::new();
         let r = run_query(
             &st,
@@ -1147,7 +1144,7 @@ mod tests {
 
     #[test]
     fn group_by_count_and_having() {
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for (person, city) in [
             ("a", "rome"),
             ("b", "rome"),
@@ -1162,7 +1159,7 @@ mod tests {
                 &Term::iri(format!("http://{city}")),
             );
         }
-        st.build();
+        let st = st.commit();
         let wco = WcoEngine::new();
         let r = run_query(
             &st,
@@ -1182,7 +1179,7 @@ mod tests {
 
     #[test]
     fn aggregates_without_group_by_collapse_to_one_row() {
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for (name, age) in [("carol", 35), ("alice", 42), ("bob", 7)] {
             st.insert_terms(
                 &Term::iri(format!("http://{name}")),
@@ -1190,7 +1187,7 @@ mod tests {
                 &Term::typed_literal(age.to_string(), "http://www.w3.org/2001/XMLSchema#integer"),
             );
         }
-        st.build();
+        let st = st.commit();
         let wco = WcoEngine::new();
         let r = run_query(
             &st,
@@ -1220,7 +1217,7 @@ mod tests {
 
     #[test]
     fn bind_and_values_flow_through_projection() {
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for (name, age) in [("carol", 35), ("alice", 42)] {
             st.insert_terms(
                 &Term::iri(format!("http://{name}")),
@@ -1228,7 +1225,7 @@ mod tests {
                 &Term::typed_literal(age.to_string(), "http://www.w3.org/2001/XMLSchema#integer"),
             );
         }
-        st.build();
+        let st = st.commit();
         let wco = WcoEngine::new();
         let r = run_query(
             &st,

@@ -175,17 +175,18 @@ fn pruning_equivalent(g: &GroupNode, p1_idx: usize, target_idx: usize) -> bool {
 mod tests {
     use super::*;
     use crate::betree::BeTree;
+    use std::sync::Arc;
     use uo_engine::WcoEngine;
     use uo_rdf::Term;
     use uo_sparql::algebra::VarTable;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
     /// DBpedia-like shape from Figures 6 and 7:
     /// - 1000 persons, each with a `sameAs` edge (low selectivity);
     /// - 10 presidents with a `wikiLink` to a landmark (high selectivity);
     /// - every person has `name` and `label` (low selectivity).
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         let same = Term::iri("http://sameAs");
         let link = Term::iri("http://wikiLink");
         let name = Term::iri("http://name");
@@ -200,11 +201,10 @@ mod tests {
                 st.insert_terms(&p, &link, &potus);
             }
         }
-        st.build();
-        st
+        st.commit()
     }
 
-    fn build(q: &str, st: &TripleStore) -> BeTree {
+    fn build(q: &str, st: &Snapshot) -> BeTree {
         let query = uo_sparql::parse(q).unwrap();
         let mut vars = VarTable::new();
         BeTree::build(&query, &mut vars, st.dictionary())

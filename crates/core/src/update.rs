@@ -174,19 +174,19 @@ mod tests {
     use super::*;
     use uo_engine::WcoEngine;
     use uo_sparql::parse_update;
-    use uo_store::TripleStore;
+    use uo_store::StoreWriter;
 
     fn writer() -> StoreWriter {
-        let mut st = TripleStore::new();
-        st.load_ntriples(
+        let mut w = StoreWriter::new();
+        w.load_ntriples(
             "<http://a> <http://p> <http://b> .\n\
              <http://a> <http://p> <http://c> .\n\
              <http://b> <http://p> <http://c> .\n\
              <http://a> <http://name> \"alice\" .\n",
         )
         .unwrap();
-        st.build_with(Parallelism::sequential());
-        StoreWriter::from_snapshot(st.snapshot())
+        w.commit_with(Parallelism::sequential());
+        w
     }
 
     fn apply(w: &mut StoreWriter, text: &str) -> UpdateReport {

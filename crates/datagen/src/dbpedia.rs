@@ -22,8 +22,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uo_rdf::Term;
-use uo_store::TripleStore;
+use std::sync::Arc;
+use uo_rdf::{Dictionary, Id, Term};
+use uo_store::Snapshot;
 
 /// Namespaces used by the generator and the benchmark queries (Listing 14).
 pub mod ns {
@@ -87,9 +88,13 @@ pub const LANDMARKS: [&str; 6] = [
     "Category:Cell_biology",
 ];
 
-/// Generates a DBpedia-style dataset into a fresh store (already built).
-pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
-    let mut store = TripleStore::new();
+/// Generates a DBpedia-style dataset as a bulk-built snapshot at epoch 1.
+pub fn generate_dbpedia(cfg: &DbpediaConfig) -> Arc<Snapshot> {
+    let mut dict = Dictionary::new();
+    let mut rows: Vec<[Id; 3]> = Vec::new();
+    let mut emit = |s: &Term, p: &Term, o: &Term| {
+        rows.push([dict.encode(s), dict.encode(p), dict.encode(o)]);
+    };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let dbr = |name: &str| Term::iri(format!("{}{}", ns::DBR, name));
@@ -105,113 +110,77 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
     let cell_bio = dbr("Category:Cell_biology");
     for c in 0..ncat {
         let cat = category(c);
-        store.insert_terms(
-            &cat,
-            &p(ns::SKOS, "prefLabel"),
-            &Term::lang_literal(format!("Topic {c}"), "en"),
-        );
-        store.insert_terms(
-            &cat,
-            &p(ns::RDFS, "label"),
-            &Term::lang_literal(format!("Topic {c}"), "en"),
-        );
+        emit(&cat, &p(ns::SKOS, "prefLabel"), &Term::lang_literal(format!("Topic {c}"), "en"));
+        emit(&cat, &p(ns::RDFS, "label"), &Term::lang_literal(format!("Topic {c}"), "en"));
         // skos:related links between categories (sparse graph).
         if c > 0 {
             let other = category(rng.gen_range(0..c));
-            store.insert_terms(&cat, &p(ns::SKOS, "related"), &other);
+            emit(&cat, &p(ns::SKOS, "related"), &other);
         }
         // Categories are also owl:sameAs their "external" counterparts now
         // and then (feeds q1.4's sameAs-of-category patterns).
         if c % 3 == 0 {
-            store.insert_terms(
+            emit(
                 &cat,
                 &p(ns::OWL, "sameAs"),
                 &Term::iri(format!("http://www.wikidata.org/entity/QC{c}")),
             );
         }
     }
-    store.insert_terms(
-        &cell_bio,
-        &p(ns::SKOS, "prefLabel"),
-        &Term::lang_literal("Cell biology", "en"),
-    );
-    store.insert_terms(&cell_bio, &p(ns::RDFS, "label"), &Term::lang_literal("Cell biology", "en"));
+    emit(&cell_bio, &p(ns::SKOS, "prefLabel"), &Term::lang_literal("Cell biology", "en"));
+    emit(&cell_bio, &p(ns::RDFS, "label"), &Term::lang_literal("Cell biology", "en"));
 
     // --- landmark articles ---
     for lm in LANDMARKS.iter().filter(|l| !l.starts_with("Category:")) {
         let a = dbr(lm);
-        store.insert_terms(
-            &a,
-            &p(ns::RDFS, "label"),
-            &Term::lang_literal(lm.replace('_', " "), "en"),
-        );
-        store.insert_terms(
-            &a,
-            &p(ns::FOAF, "name"),
-            &Term::lang_literal(lm.replace('_', " "), "en"),
-        );
-        store.insert_terms(&a, &p(ns::PURL, "subject"), &category(0));
+        emit(&a, &p(ns::RDFS, "label"), &Term::lang_literal(lm.replace('_', " "), "en"));
+        emit(&a, &p(ns::FOAF, "name"), &Term::lang_literal(lm.replace('_', " "), "en"));
+        emit(&a, &p(ns::PURL, "subject"), &category(0));
         let pg = Term::iri(format!("http://en.wikipedia.org/wiki/{lm}"));
-        store.insert_terms(&a, &p(ns::FOAF, "isPrimaryTopicOf"), &pg);
-        store.insert_terms(&pg, &p(ns::FOAF, "primaryTopic"), &a);
-        store.insert_terms(&a, &p(ns::PROV, "wasDerivedFrom"), &pg);
-        store.insert_terms(
-            &a,
-            &p(ns::OWL, "sameAs"),
-            &Term::iri(format!("http://rdf.freebase.com/ns/{lm}")),
-        );
+        emit(&a, &p(ns::FOAF, "isPrimaryTopicOf"), &pg);
+        emit(&pg, &p(ns::FOAF, "primaryTopic"), &a);
+        emit(&a, &p(ns::PROV, "wasDerivedFrom"), &pg);
+        emit(&a, &p(ns::OWL, "sameAs"), &Term::iri(format!("http://rdf.freebase.com/ns/{lm}")));
     }
     // Functional_neuroimaging gets a few extra subjects (q1.4 starts there).
     for c in 0..4.min(ncat) {
-        store.insert_terms(&dbr("Functional_neuroimaging"), &p(ns::PURL, "subject"), &category(c));
+        emit(&dbr("Functional_neuroimaging"), &p(ns::PURL, "subject"), &category(c));
     }
 
     // --- regular articles ---
     for i in 0..n {
         let a = article(i);
         // Labels: everyone has rdfs:label; 60% also foaf:name (diversity).
-        store.insert_terms(
-            &a,
-            &p(ns::RDFS, "label"),
-            &Term::lang_literal(format!("Entity {i}"), "en"),
-        );
+        emit(&a, &p(ns::RDFS, "label"), &Term::lang_literal(format!("Entity {i}"), "en"));
         if i % 5 < 3 {
-            store.insert_terms(
-                &a,
-                &p(ns::FOAF, "name"),
-                &Term::lang_literal(format!("Entity {i}"), "en"),
-            );
+            emit(&a, &p(ns::FOAF, "name"), &Term::lang_literal(format!("Entity {i}"), "en"));
         }
         // Comments/abstracts for 50%.
         if i % 2 == 0 {
-            store.insert_terms(
+            emit(
                 &a,
                 &p(ns::RDFS, "comment"),
                 &Term::lang_literal(format!("About entity {i}"), "en"),
             );
-            store.insert_terms(
-                &a,
-                &p(ns::DBO, "abstract"),
-                &Term::lang_literal(format!("Abstract {i}"), "en"),
-            );
+            emit(&a, &p(ns::DBO, "abstract"), &Term::lang_literal(format!("Abstract {i}"), "en"));
         }
         // Categories: purl:subject for even, legacy skos:subject for odd.
         let cat = category(i % ncat);
         if i % 2 == 0 {
-            store.insert_terms(&a, &p(ns::PURL, "subject"), &cat);
+            emit(&a, &p(ns::PURL, "subject"), &cat);
         } else {
-            store.insert_terms(&a, &p(ns::SKOS, "subject"), &cat);
+            emit(&a, &p(ns::SKOS, "subject"), &cat);
         }
         // Wiki pages: primaryTopic vs isPrimaryTopicOf (diversity), plus
         // provenance.
         let pg = page(i);
         if i % 2 == 0 {
-            store.insert_terms(&a, &p(ns::FOAF, "isPrimaryTopicOf"), &pg);
+            emit(&a, &p(ns::FOAF, "isPrimaryTopicOf"), &pg);
         } else {
-            store.insert_terms(&pg, &p(ns::FOAF, "primaryTopic"), &a);
+            emit(&pg, &p(ns::FOAF, "primaryTopic"), &a);
         }
-        store.insert_terms(&a, &p(ns::PROV, "wasDerivedFrom"), &pg);
-        store.insert_terms(&a, &p(ns::FOAF, "page"), &pg);
+        emit(&a, &p(ns::PROV, "wasDerivedFrom"), &pg);
+        emit(&a, &p(ns::FOAF, "page"), &pg);
         // wikiPageWikiLink: 3 links; Zipf-ish — heavy hitters get the rest.
         for _ in 0..3 {
             let r: f64 = rng.gen();
@@ -224,9 +193,9 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             } else {
                 article(rng.gen_range(0..n))
             };
-            store.insert_terms(&a, &p(ns::DBO, "wikiPageWikiLink"), &target);
+            emit(&a, &p(ns::DBO, "wikiPageWikiLink"), &target);
         }
-        store.insert_terms(
+        emit(
             &a,
             &p(ns::DBO, "wikiPageLength"),
             &Term::typed_literal(
@@ -236,11 +205,7 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
         );
         // owl:sameAs for 40%.
         if i % 5 < 2 {
-            store.insert_terms(
-                &a,
-                &p(ns::OWL, "sameAs"),
-                &Term::iri(format!("http://rdf.freebase.com/ns/m{i}")),
-            );
+            emit(&a, &p(ns::OWL, "sameAs"), &Term::iri(format!("http://rdf.freebase.com/ns/m{i}")));
         }
         // Redirects for 10%. A redirect article's wiki page has the
         // *target* as its primary topic (as in DBpedia proper), which is the
@@ -254,27 +219,23 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             } else {
                 article(rng.gen_range(0..n))
             };
-            store.insert_terms(&a, &p(ns::DBO, "wikiPageRedirects"), &target);
-            store.insert_terms(&page(i), &p(ns::FOAF, "primaryTopic"), &target);
-            store.insert_terms(&a, &p(ns::DBO, "wikiPageWikiLink"), &target);
+            emit(&a, &p(ns::DBO, "wikiPageRedirects"), &target);
+            emit(&page(i), &p(ns::FOAF, "primaryTopic"), &target);
+            emit(&a, &p(ns::DBO, "wikiPageWikiLink"), &target);
         }
         // Homepages for ~45% (including the soccer players at i % 10 == 5,
         // whom q2.2 anchors on).
         if i % 4 == 0 || i % 5 == 0 {
-            store.insert_terms(
-                &a,
-                &p(ns::FOAF, "homepage"),
-                &Term::iri(format!("http://example.org/site{i}")),
-            );
+            emit(&a, &p(ns::FOAF, "homepage"), &Term::iri(format!("http://example.org/site{i}")));
         }
 
         // Typed sub-populations.
         match i % 10 {
             // Persons (30%).
             0..=2 => {
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Person"));
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Person"));
                 if i % 3 == 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::DBO, "thumbnail"),
                         &Term::iri(format!("http://img.example.org/{i}.png")),
@@ -283,13 +244,13 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             }
             // Populated places / settlements (20%).
             3 | 4 => {
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "PopulatedPlace"));
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "PopulatedPlace"));
                 if i % 2 == 0 {
-                    store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Settlement"));
+                    emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Settlement"));
                 }
                 let lat = -90.0 + (i as f64 * 0.77) % 180.0;
                 let lon = -180.0 + (i as f64 * 1.31) % 360.0;
-                store.insert_terms(
+                emit(
                     &a,
                     &p(ns::GEO, "lat"),
                     &Term::typed_literal(
@@ -297,7 +258,7 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
                         "http://www.w3.org/2001/XMLSchema#float",
                     ),
                 );
-                store.insert_terms(
+                emit(
                     &a,
                     &p(ns::GEO, "long"),
                     &Term::typed_literal(
@@ -306,7 +267,7 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
                     ),
                 );
                 if i % 3 != 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::DBO, "populationTotal"),
                         &Term::typed_literal(
@@ -316,14 +277,14 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
                     );
                 }
                 if i % 4 == 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::DBO, "thumbnail"),
                         &Term::iri(format!("http://img.example.org/{i}.png")),
                     );
                 }
                 if i % 5 == 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::FOAF, "depiction"),
                         &Term::iri(format!("http://img.example.org/d{i}.png")),
@@ -332,16 +293,16 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             }
             // Soccer players (10%).
             5 => {
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "SoccerPlayer"));
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Person"));
-                store.insert_terms(
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "SoccerPlayer"));
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Person"));
+                emit(
                     &a,
                     &p(ns::DBP, "position"),
                     &Term::literal(["Goalkeeper", "Defender", "Midfielder", "Forward"][i % 4]),
                 );
                 let club = article((i + 1) % n);
-                store.insert_terms(&a, &p(ns::DBP, "clubs"), &club);
-                store.insert_terms(
+                emit(&a, &p(ns::DBP, "clubs"), &club);
+                emit(
                     &club,
                     &p(ns::DBO, "capacity"),
                     &Term::typed_literal(
@@ -350,9 +311,9 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
                     ),
                 );
                 let birth = article((i + 3) % n);
-                store.insert_terms(&a, &p(ns::DBO, "birthPlace"), &birth);
+                emit(&a, &p(ns::DBO, "birthPlace"), &birth);
                 if i % 2 == 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::DBO, "number"),
                         &Term::typed_literal(
@@ -364,12 +325,12 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             }
             // Airports (10%).
             6 => {
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Airport"));
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Airport"));
                 // The decade's i%10==4 article is even, hence a Settlement
                 // (q2.4 joins airports to settlements via dbo:city).
                 let city = article(((i / 10) * 10 + 4) % n);
-                store.insert_terms(&a, &p(ns::DBO, "city"), &city);
-                store.insert_terms(
+                emit(&a, &p(ns::DBO, "city"), &city);
+                emit(
                     &a,
                     &p(ns::DBP, "iata"),
                     &Term::literal(format!(
@@ -380,7 +341,7 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
                     )),
                 );
                 if i % 3 == 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::DBP, "nativename"),
                         &Term::lang_literal(format!("Aeropuerto {i}"), "es"),
@@ -389,37 +350,29 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             }
             // Companies (10%).
             7 => {
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Company"));
-                store.insert_terms(
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Company"));
+                emit(
                     &a,
                     &p(ns::DBP, "industry"),
                     &Term::literal(["Software", "Automotive", "Retail", "Energy"][i % 4]),
                 );
-                store.insert_terms(&a, &p(ns::DBP, "location"), &article(((i / 10) * 10 + 4) % n));
+                emit(&a, &p(ns::DBP, "location"), &article(((i / 10) * 10 + 4) % n));
                 if i % 2 == 0 {
-                    store.insert_terms(
-                        &a,
-                        &p(ns::DBP, "locationCountry"),
-                        &article(((i / 10) * 10 + 3) % n),
-                    );
+                    emit(&a, &p(ns::DBP, "locationCountry"), &article(((i / 10) * 10 + 3) % n));
                 }
                 if i % 3 == 0 {
-                    store.insert_terms(
-                        &a,
-                        &p(ns::DBP, "locationCity"),
-                        &article(((i / 10) * 10 + 4) % n),
-                    );
+                    emit(&a, &p(ns::DBP, "locationCity"), &article(((i / 10) * 10 + 4) % n));
                     // Some product is manufactured by this company.
                     let product = article((i + 5) % n);
-                    store.insert_terms(&product, &p(ns::DBP, "manufacturer"), &a);
+                    emit(&product, &p(ns::DBP, "manufacturer"), &a);
                 }
                 if i % 4 == 0 {
-                    store.insert_terms(&a, &p(ns::DBP, "products"), &article((i + 6) % n));
+                    emit(&a, &p(ns::DBP, "products"), &article((i + 6) % n));
                     let model = article((i + 7) % n);
-                    store.insert_terms(&model, &p(ns::DBP, "model"), &a);
+                    emit(&model, &p(ns::DBP, "model"), &a);
                 }
                 if i % 5 == 0 {
-                    store.insert_terms(
+                    emit(
                         &a,
                         &p(ns::GEORSS, "point"),
                         &Term::literal(format!("{} {}", i % 90, i % 180)),
@@ -428,25 +381,25 @@ pub fn generate_dbpedia(cfg: &DbpediaConfig) -> TripleStore {
             }
             // Organisms with a phylum (10%) — q1.6.
             8 => {
-                store.insert_terms(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Species"));
+                emit(&a, &p(ns::RDF, "type"), &p(ns::DBO, "Species"));
                 let phylum = dbr(&format!("Phylum{}", i % 12));
-                store.insert_terms(&a, &p(ns::DBO, "phylum"), &phylum);
+                emit(&a, &p(ns::DBO, "phylum"), &phylum);
                 // Organism articles link to the Cell_biology category page.
-                store.insert_terms(&a, &p(ns::DBO, "wikiPageWikiLink"), &cell_bio);
+                emit(&a, &p(ns::DBO, "wikiPageWikiLink"), &cell_bio);
             }
             _ => {}
         }
     }
 
-    store.build();
-    store
+    // `Default` is `Parallelism::from_env()`: the `UO_THREADS` knob.
+    Arc::new(Snapshot::build_from(Arc::new(dict), rows, 1, Default::default()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> TripleStore {
+    fn tiny() -> Arc<Snapshot> {
         generate_dbpedia(&DbpediaConfig::tiny())
     }
 

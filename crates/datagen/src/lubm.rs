@@ -10,8 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uo_rdf::Term;
-use uo_store::TripleStore;
+use std::sync::Arc;
+use uo_rdf::{Dictionary, Id, Term};
+use uo_store::Snapshot;
 
 /// The `ub:` ontology namespace.
 pub const UB: &str = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
@@ -70,29 +71,30 @@ impl LubmConfig {
     }
 }
 
-struct Gen<'a> {
-    store: &'a mut TripleStore,
+struct Gen {
+    dict: Dictionary,
+    rows: Vec<[Id; 3]>,
     rng: StdRng,
 }
 
-impl<'a> Gen<'a> {
+impl Gen {
+    fn emit(&mut self, s: &Term, p: &Term, o: &Term) {
+        self.rows.push([self.dict.encode(s), self.dict.encode(p), self.dict.encode(o)]);
+    }
+
     fn add(&mut self, s: &Term, p: &str, o: Term) {
-        self.store.insert_terms(s, &Term::iri(format!("{UB}{p}")), &o);
+        self.emit(s, &Term::iri(format!("{UB}{p}")), &o);
     }
 
     fn add_type(&mut self, s: &Term, class: &str) {
-        self.store.insert_terms(
-            s,
-            &Term::iri(format!("{RDF}type")),
-            &Term::iri(format!("{UB}{class}")),
-        );
+        self.emit(s, &Term::iri(format!("{RDF}type")), &Term::iri(format!("{UB}{class}")));
     }
 }
 
-/// Generates a LUBM-style dataset into a fresh store (already `build()`-ed).
-pub fn generate_lubm(cfg: &LubmConfig) -> TripleStore {
-    let mut store = TripleStore::new();
-    let mut g = Gen { store: &mut store, rng: StdRng::seed_from_u64(cfg.seed) };
+/// Generates a LUBM-style dataset as a bulk-built snapshot at epoch 1.
+pub fn generate_lubm(cfg: &LubmConfig) -> Arc<Snapshot> {
+    let mut g =
+        Gen { dict: Dictionary::new(), rows: Vec::new(), rng: StdRng::seed_from_u64(cfg.seed) };
 
     let univ_iri = |u: usize| Term::iri(format!("http://www.University{u}.edu"));
     let dept_iri =
@@ -262,8 +264,8 @@ pub fn generate_lubm(cfg: &LubmConfig) -> TripleStore {
         }
     }
 
-    store.build();
-    store
+    // `Default` is `Parallelism::from_env()`: the `UO_THREADS` knob.
+    Arc::new(Snapshot::build_from(Arc::new(g.dict), g.rows, 1, Default::default()))
 }
 
 #[cfg(test)]
@@ -271,7 +273,7 @@ mod tests {
     use super::*;
     use uo_rdf::Term;
 
-    fn tiny() -> TripleStore {
+    fn tiny() -> Arc<Snapshot> {
         generate_lubm(&LubmConfig::tiny())
     }
 

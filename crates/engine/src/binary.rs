@@ -204,10 +204,11 @@ impl BgpEngine for BinaryJoinEngine {
 mod tests {
     use super::*;
     use crate::pattern::encode_bgp;
+    use std::sync::Arc;
     use uo_rdf::Term;
     use uo_sparql::algebra::VarTable;
     use uo_sparql::ast::{PatternTerm, TriplePattern};
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
     fn tp(s: &str, p: &str, o: &str) -> TriplePattern {
         let conv = |x: &str| {
@@ -220,8 +221,8 @@ mod tests {
         TriplePattern::new(conv(s), conv(p), conv(o))
     }
 
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         // Star: alice knows bob, carol; bob knows carol; names for all.
         let knows = Term::iri("http://knows");
         let name = Term::iri("http://name");
@@ -235,8 +236,7 @@ mod tests {
         for n in ["alice", "bob", "carol"] {
             st.insert_terms(&Term::iri(format!("http://{n}")), &name, &Term::literal(n));
         }
-        st.build();
-        st
+        st.commit()
     }
 
     #[test]
@@ -293,10 +293,10 @@ mod tests {
 
     #[test]
     fn repeated_var_pattern() {
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         st.insert_terms(&Term::iri("http://a"), &Term::iri("http://p"), &Term::iri("http://a"));
         st.insert_terms(&Term::iri("http://a"), &Term::iri("http://p"), &Term::iri("http://b"));
-        st.build();
+        let st = st.commit();
         let mut vt = VarTable::new();
         let bgp = encode_bgp(&[tp("?x", "http://p", "?x")], &mut vt, st.dictionary());
         let bag = BinaryJoinEngine::new().evaluate(&st, &bgp, vt.len(), &CandidateSet::none());

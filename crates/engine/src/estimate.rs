@@ -276,7 +276,7 @@ mod tests {
     use uo_rdf::Term;
     use uo_sparql::algebra::{Bag, VarTable};
     use uo_sparql::ast::{PatternTerm, TriplePattern};
-    use uo_store::{StoreWriter, TripleStore};
+    use uo_store::{Snapshot, StoreWriter};
 
     fn tp(s: &str, p: &str, o: &str) -> TriplePattern {
         let conv = |x: &str| {
@@ -291,8 +291,8 @@ mod tests {
 
     /// A chain graph: x0 -p-> x1 -p-> ... with 100 nodes, plus one hub with
     /// 50 q-edges.
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         for i in 0..100 {
             st.insert_terms(
                 &Term::iri(format!("http://n{i}")),
@@ -307,8 +307,7 @@ mod tests {
                 &Term::iri(format!("http://m{i}")),
             );
         }
-        st.build();
-        st
+        st.commit()
     }
 
     #[test]
@@ -697,7 +696,7 @@ mod tests {
     fn work_is_bounded_by_the_sample_not_the_data() {
         // 5000 p0-edges out of 50 sources, each source also a p1-target; 50
         // p2 self-loops apart from them.
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for i in 0..5000 {
             st.insert_terms(&ent(i % 50), &pred(0), &ent(100 + i));
         }
@@ -705,7 +704,7 @@ mod tests {
             st.insert_terms(&ent(1000 + i), &pred(1), &ent(i));
             st.insert_terms(&ent(2000 + i), &pred(2), &ent(2000 + i));
         }
-        st.build();
+        let st = st.commit();
         let mut vt = VarTable::new();
         let bgp = encode_bgp(
             &[
@@ -730,7 +729,7 @@ mod tests {
         // The one shape that still walks: a repeated variable that is still
         // unbound lets `bind` reject matches of the range. Ten ?z, each with
         // 101 outgoing edges of which one has its predicate as its object.
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for z in 0..10 {
             st.insert_terms(&ent(0), &pred(0), &ent(10 + z));
             st.insert_terms(&ent(10 + z), &pred(1), &pred(1));
@@ -738,7 +737,7 @@ mod tests {
                 st.insert_terms(&ent(10 + z), &pred(1), &ent(100 + o));
             }
         }
-        st.build();
+        let st = st.commit();
         let mut vt = VarTable::new();
         let bgp = encode_bgp(
             &[tp("http://e0", "http://p0", "?z"), tp("?z", "?w", "?w")],
@@ -756,7 +755,7 @@ mod tests {
         // ?x p0 ?y has 100 rows and seeds; of the 64 sampled ?y only y0 has
         // a p1 edge, and its ?z has no p2 edge — the sketch calls the prefix
         // dead although y64.. reach all the way through p2, p3 and p4.
-        let mut st = TripleStore::new();
+        let mut st = StoreWriter::new();
         for i in 0..100 {
             st.insert_terms(&ent(i), &pred(0), &ent(100 + i));
         }
@@ -779,7 +778,7 @@ mod tests {
                 st.insert_terms(&ent(400 + k), &pred(4), &ent(600 + m));
             }
         }
-        st.build();
+        let st = st.commit();
         let mut vt = VarTable::new();
         let bgp = encode_bgp(
             &[

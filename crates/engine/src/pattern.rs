@@ -245,11 +245,12 @@ impl CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use uo_rdf::Term;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
-    fn setup() -> (TripleStore, VarTable) {
-        let mut st = TripleStore::new();
+    fn setup() -> (Arc<Snapshot>, VarTable) {
+        let mut st = StoreWriter::new();
         st.load_ntriples(
             r#"
 <http://a> <http://p> <http://b> .
@@ -258,7 +259,7 @@ mod tests {
 "#,
         )
         .unwrap();
-        st.build();
+        let st = st.commit();
         (st, VarTable::new())
     }
 

@@ -164,10 +164,11 @@ mod tests {
     use super::*;
     use crate::pattern::encode_bgp;
     use crate::BinaryJoinEngine;
+    use std::sync::Arc;
     use uo_rdf::Term;
     use uo_sparql::algebra::VarTable;
     use uo_sparql::ast::{PatternTerm, TriplePattern};
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
     fn tp(s: &str, p: &str, o: &str) -> TriplePattern {
         let conv = |x: &str| {
@@ -182,8 +183,8 @@ mod tests {
 
     /// A two-level tree: root -> 10 children -> 10 grandchildren each, plus
     /// labels on leaves.
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         let child = Term::iri("http://child");
         let label = Term::iri("http://label");
         for i in 0..10 {
@@ -201,8 +202,7 @@ mod tests {
                 );
             }
         }
-        st.build();
-        st
+        st.commit()
     }
 
     #[test]

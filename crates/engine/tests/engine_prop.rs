@@ -4,19 +4,20 @@
 //! must equal post-filtering.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use uo_engine::{encode_bgp, BgpEngine, BinaryJoinEngine, CandidateSet, WcoEngine};
 use uo_rdf::{Id, Term, NO_ID};
 use uo_sparql::algebra::{Bag, VarTable};
 use uo_sparql::ast::{PatternTerm, TriplePattern};
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
 const N_ENT: u32 = 12;
 const N_PRED: u32 = 3;
 
-fn arb_store() -> impl Strategy<Value = TripleStore> {
+fn arb_store() -> impl Strategy<Value = Arc<Snapshot>> {
     prop::collection::vec(((0u32..N_ENT), (0u32..N_PRED), (0u32..N_ENT)), 0..80).prop_map(
         |triples| {
-            let mut st = TripleStore::new();
+            let mut st = StoreWriter::new();
             for (s, p, o) in triples {
                 st.insert_terms(
                     &Term::iri(format!("http://e{s}")),
@@ -24,8 +25,7 @@ fn arb_store() -> impl Strategy<Value = TripleStore> {
                     &Term::iri(format!("http://e{o}")),
                 );
             }
-            st.build();
-            st
+            st.commit()
         },
     )
 }
@@ -71,7 +71,7 @@ fn to_ast(raw: &RawBgp) -> Vec<TriplePattern> {
 }
 
 /// Brute force: nested scan with compatibility.
-fn naive_eval(store: &TripleStore, patterns: &[TriplePattern], vars: &mut VarTable) -> Bag {
+fn naive_eval(store: &Snapshot, patterns: &[TriplePattern], vars: &mut VarTable) -> Bag {
     let enc = encode_bgp(patterns, vars, store.dictionary());
     let width = vars.len().max(1);
     let mut rows: Vec<Box<[Id]>> = vec![vec![NO_ID; width].into_boxed_slice()];

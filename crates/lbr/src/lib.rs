@@ -312,13 +312,14 @@ fn eval_group(g: &LbrGroup, rels: &[Bag], width: usize) -> Bag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use uo_core::{prepare, run_query, Strategy};
     use uo_engine::WcoEngine;
     use uo_rdf::Term;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         let advisor = Term::iri("http://advisor");
         let teaches = Term::iri("http://teacherOf");
         let takes = Term::iri("http://takesCourse");
@@ -337,8 +338,7 @@ mod tests {
                 }
             }
         }
-        st.build();
-        st
+        st.commit()
     }
 
     fn lbr_run(q: &str, st: &Snapshot) -> (Bag, LbrStats) {

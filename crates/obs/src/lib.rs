@@ -31,7 +31,6 @@
 //! histograms as Prometheus text exposition (0.0.4).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod prom;
 pub mod trace;

@@ -278,16 +278,15 @@ mod tests {
     use super::*;
     use uo_core::prepare;
     use uo_rdf::Term;
-    use uo_store::TripleStore;
+    use uo_store::{Snapshot, StoreWriter};
 
-    fn store() -> TripleStore {
-        let mut st = TripleStore::new();
+    fn store() -> Arc<Snapshot> {
+        let mut st = StoreWriter::new();
         st.insert_terms(&Term::iri("http://a"), &Term::iri("http://p"), &Term::iri("http://b"));
-        st.build();
-        st
+        st.commit()
     }
 
-    fn plan(st: &TripleStore, q: &str) -> Arc<Prepared> {
+    fn plan(st: &Snapshot, q: &str) -> Arc<Prepared> {
         Arc::new(prepare(st, q).unwrap())
     }
 

@@ -496,7 +496,7 @@ impl Drop for ServerHandle {
 
 /// Binds `host:port` (port 0 = ephemeral) and starts the accept loop plus
 /// `cfg.threads` connection workers, serving `snapshot` (obtain one from
-/// `TripleStore::snapshot()` after a build, or from a `StoreWriter`).
+/// [`Snapshot::build_from`] or a `StoreWriter` commit).
 /// When `cfg.writable` is set the endpoint also accepts `POST /update`,
 /// committing new snapshots on top of this one.
 pub fn start(snapshot: Arc<Snapshot>, cfg: ServerConfig, port: u16) -> io::Result<ServerHandle> {

@@ -1131,11 +1131,10 @@ mod tests {
     fn seed_checkpoints_immediately() {
         let dir = temp_dir("seed");
         {
-            let mut st = crate::TripleStore::new();
-            st.load_ntriples("<http://x> <http://p> <http://y> .\n").unwrap();
-            st.build_with(uo_par::Parallelism::sequential());
+            let mut w = StoreWriter::new();
+            w.load_ntriples("<http://x> <http://p> <http://y> .\n").unwrap();
             let mut ds = open(&dir, DurableOptions::default());
-            ds.seed(st.snapshot()).unwrap();
+            ds.seed(w.commit_with(uo_par::Parallelism::sequential())).unwrap();
             assert!(!ds.is_fresh());
         } // crash right after seeding: the checkpoint alone must restore it
         let ds = open(&dir, DurableOptions::default());
@@ -1321,10 +1320,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         // An old store directory: a whole-store checkpoint file, no
         // manifests, no log.
-        let mut st = crate::TripleStore::new();
-        st.load_ntriples("<http://x> <http://p> <http://y> .\n").unwrap();
-        st.build_with(uo_par::Parallelism::sequential());
-        let snap = st.snapshot();
+        let mut w = StoreWriter::new();
+        w.load_ntriples("<http://x> <http://p> <http://y> .\n").unwrap();
+        let snap = w.commit_with(uo_par::Parallelism::sequential());
         crate::save_to_file(&snap, &checkpoint_path(&dir, snap.epoch())).unwrap();
         let mut ds = open(&dir, DurableOptions::default());
         assert_eq!(ds.recovery().checkpoint_epoch, snap.epoch());

@@ -33,9 +33,9 @@
 //! one level without changing content or epoch. Readers clone the
 //! `Arc<Snapshot>` once and are never blocked or disturbed by commits;
 //! queries in flight during a commit answer from their admission-time
-//! version. [`TripleStore`] remains as a thin facade (insert → `build()`
-//! → read) over the same machinery and dereferences to its current
-//! [`Snapshot`].
+//! version. A bulk load needs no delta: it encodes its terms into a
+//! dictionary and hands the rows to [`Snapshot::build_from`], which builds
+//! the single level directly.
 //!
 //! # Beyond-RAM operation
 //!
@@ -51,17 +51,17 @@
 //!
 //! ```
 //! use uo_rdf::Term;
-//! use uo_store::TripleStore;
+//! use uo_store::StoreWriter;
 //!
-//! let mut store = TripleStore::new();
-//! store.insert_terms(
+//! let mut writer = StoreWriter::new();
+//! writer.insert_terms(
 //!     &Term::iri("http://ex/alice"),
 //!     &Term::iri("http://ex/knows"),
 //!     &Term::iri("http://ex/bob"),
 //! );
-//! store.build();
-//! let p = store.dictionary().lookup(&Term::iri("http://ex/knows")).unwrap();
-//! assert_eq!(store.match_pattern(None, Some(p), None).len(), 1);
+//! let snap = writer.commit();
+//! let p = snap.dictionary().lookup(&Term::iri("http://ex/knows")).unwrap();
+//! assert_eq!(snap.match_pattern(None, Some(p), None).len(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -73,7 +73,6 @@ pub mod persist;
 mod runs;
 pub mod snapshot;
 pub mod stats;
-pub mod store;
 pub mod writer;
 
 pub use durable::{
@@ -87,5 +86,4 @@ pub use persist::{
 };
 pub use snapshot::{Snapshot, TierStats};
 pub use stats::DatasetStats;
-pub use store::TripleStore;
 pub use writer::{CommitStats, StoreWriter};

@@ -23,7 +23,7 @@ use crate::paged::{
     open_container, write_container, Backing, ContainerMeta, PageCacheStats, PagedOptions,
     KIND_SNAPSHOT,
 };
-use crate::{Snapshot, TripleStore};
+use crate::{Snapshot, StoreWriter};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -142,7 +142,7 @@ pub(crate) fn read_term(r: &mut impl Read) -> Result<Term, SnapshotError> {
     })
 }
 
-/// Writes a version-2 snapshot of `snap` (a built `TripleStore` coerces).
+/// Writes a version-2 snapshot of `snap`.
 /// The flat stream format; [`save_to_file`] writes the paged v3 layout.
 pub fn write_snapshot(snap: &Snapshot, w: &mut impl Write) -> io::Result<()> {
     w.write_all(MAGIC)?;
@@ -163,7 +163,7 @@ pub fn write_snapshot(snap: &Snapshot, w: &mut impl Write) -> io::Result<()> {
 }
 
 /// Builds a fully-wired store from an opened v3 container.
-fn store_from_backing(backing: Backing, opts: PagedOptions) -> Result<TripleStore, SnapshotError> {
+fn store_from_backing(backing: Backing, opts: PagedOptions) -> Result<StoreWriter, SnapshotError> {
     let c = open_container(backing, opts, Arc::new(PageCacheStats::default()))?;
     if c.kind != KIND_SNAPSHOT {
         return Err(corrupt("container is a run file, not a snapshot"));
@@ -177,14 +177,15 @@ fn store_from_backing(backing: Backing, opts: PagedOptions) -> Result<TripleStor
         next_run_id: c.next_run_id,
         stats: c.stats,
     };
-    Ok(TripleStore::from_snapshot(Arc::new(snap)))
+    Ok(StoreWriter::from_snapshot(Arc::new(snap)))
 }
 
-/// Reads a snapshot (version 1, 2, or 3) into a fresh, built store.
+/// Reads a snapshot (version 1, 2, or 3) into a writer whose base is the
+/// loaded snapshot.
 /// Version-1 files predate the epoch field and load at epoch 0. A
 /// version-3 stream is buffered in memory (the paged layout is random
 /// access); prefer [`load_from_file`] for lazy page loading off disk.
-pub fn read_snapshot(r: &mut impl Read) -> Result<TripleStore, SnapshotError> {
+pub fn read_snapshot(r: &mut impl Read) -> Result<StoreWriter, SnapshotError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -225,7 +226,7 @@ pub fn read_snapshot(r: &mut impl Read) -> Result<TripleStore, SnapshotError> {
         spo.push([s, p, o]);
     }
     let snap = Snapshot::build_from(Arc::new(dict), spo, epoch, Parallelism::from_env());
-    Ok(TripleStore::from_snapshot(Arc::new(snap)))
+    Ok(StoreWriter::from_snapshot(Arc::new(snap)))
 }
 
 /// Flattens a [`SnapshotError`] into the `io::Error` the save path reports.
@@ -277,18 +278,19 @@ pub fn save_to_file(snap: &Snapshot, path: &std::path::Path) -> io::Result<()> {
 }
 
 /// Load a snapshot from a file with the default page-cache budget.
-pub fn load_from_file(path: &std::path::Path) -> Result<TripleStore, SnapshotError> {
+pub fn load_from_file(path: &std::path::Path) -> Result<StoreWriter, SnapshotError> {
     load_from_file_with(path, PagedOptions::default())
 }
 
-/// Load a snapshot from a file. A v3 file is opened **lazily** — only the
+/// Load a snapshot from a file into a writer whose base is the loaded
+/// snapshot. A v3 file is opened **lazily** — only the
 /// header, footer, and dictionary are read eagerly; triple pages are
 /// fetched on demand into a cache bounded by `opts.cache_bytes`. v1/v2
 /// files are materialized in full (they predate paging).
 pub fn load_from_file_with(
     path: &std::path::Path,
     opts: PagedOptions,
-) -> Result<TripleStore, SnapshotError> {
+) -> Result<StoreWriter, SnapshotError> {
     let f = std::fs::File::open(path)?;
     let mut hdr = [0u8; 8];
     let is_paged = {
@@ -308,9 +310,9 @@ pub fn load_from_file_with(
 mod tests {
     use super::*;
 
-    fn sample() -> TripleStore {
-        let mut st = TripleStore::new();
-        st.load_ntriples(
+    fn sample() -> Arc<Snapshot> {
+        let mut w = StoreWriter::new();
+        w.load_ntriples(
             r#"
 <http://ex/a> <http://ex/knows> <http://ex/b> .
 <http://ex/a> <http://ex/name> "Alice"@en .
@@ -320,8 +322,7 @@ _:b0 <http://ex/knows> <http://ex/a> .
 "#,
         )
         .unwrap();
-        st.build();
-        st
+        w.commit()
     }
 
     /// Serializes in the version-1 layout (no epoch field) — the format
@@ -349,7 +350,7 @@ _:b0 <http://ex/knows> <http://ex/a> .
         let st = sample();
         let mut buf = Vec::new();
         write_snapshot(&st, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
+        let loaded = read_snapshot(&mut buf.as_slice()).unwrap().snapshot();
         assert_eq!(loaded.len(), st.len());
         assert_eq!(loaded.dictionary().len(), st.dictionary().len());
         assert!(st.iter().eq(loaded.iter()));
@@ -361,27 +362,28 @@ _:b0 <http://ex/knows> <http://ex/a> .
         assert_eq!(loaded.stats().triples, st.stats().triples);
         assert_eq!(loaded.stats().entities, st.stats().entities);
         // The epoch survives the round trip.
-        assert_eq!(loaded.snapshot().epoch(), st.snapshot().epoch());
+        assert_eq!(loaded.epoch(), st.epoch());
     }
 
     #[test]
     fn epoch_round_trips_beyond_one() {
-        // Advance the epoch with incremental rebuilds, then persist.
-        let mut st = sample();
+        // Advance the epoch with incremental commits, then persist.
+        let mut w = StoreWriter::from_snapshot(sample());
         for i in 0..3 {
-            st.insert_terms(
+            w.insert_terms(
                 &Term::iri(format!("http://ex/extra{i}")),
                 &Term::iri("http://ex/knows"),
                 &Term::iri("http://ex/a"),
             );
-            st.build();
+            w.commit();
         }
-        let epoch = st.snapshot().epoch();
+        let st = w.snapshot();
+        let epoch = st.epoch();
         assert!(epoch >= 4);
         let mut buf = Vec::new();
         write_snapshot(&st, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.snapshot().epoch(), epoch);
+        let loaded = read_snapshot(&mut buf.as_slice()).unwrap().snapshot();
+        assert_eq!(loaded.epoch(), epoch);
     }
 
     #[test]
@@ -389,10 +391,10 @@ _:b0 <http://ex/knows> <http://ex/a> .
         let st = sample();
         let mut buf = Vec::new();
         write_snapshot_v1(&st, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
+        let loaded = read_snapshot(&mut buf.as_slice()).unwrap().snapshot();
         assert_eq!(loaded.len(), st.len());
         assert!(st.iter().eq(loaded.iter()));
-        assert_eq!(loaded.snapshot().epoch(), 0, "v1 files predate epochs");
+        assert_eq!(loaded.epoch(), 0, "v1 files predate epochs");
         for (id, term) in st.dictionary().iter() {
             assert_eq!(loaded.dictionary().decode(id), Some(term));
         }
@@ -454,7 +456,7 @@ _:b0 <http://ex/knows> <http://ex/a> .
         let path = dir.join("store.uost");
         let st = sample();
         save_to_file(&st, &path).unwrap();
-        let loaded = load_from_file(&path).unwrap();
+        let loaded = load_from_file(&path).unwrap().snapshot();
         assert_eq!(loaded.len(), st.len());
         std::fs::remove_file(&path).ok();
     }
@@ -468,15 +470,15 @@ _:b0 <http://ex/knows> <http://ex/a> .
         save_to_file(&st, &path).unwrap();
         // Overwrite with a different (larger) snapshot: the reader must see
         // either version, and afterwards exactly the new one.
-        let mut st2 = sample();
-        st2.insert_terms(
+        let mut w = StoreWriter::from_snapshot(sample());
+        w.insert_terms(
             &Term::iri("http://ex/extra"),
             &Term::iri("http://ex/knows"),
             &Term::iri("http://ex/a"),
         );
-        st2.build();
+        let st2 = w.commit();
         save_to_file(&st2, &path).unwrap();
-        let loaded = load_from_file(&path).unwrap();
+        let loaded = load_from_file(&path).unwrap().snapshot();
         assert_eq!(loaded.len(), st2.len());
         // No temporary residue in the directory.
         let residue: Vec<String> = std::fs::read_dir(&dir)
@@ -500,18 +502,17 @@ _:b0 <http://ex/knows> <http://ex/a> .
         // file, not a directory) must leave the original untouched.
         let bogus = path.join("impossible.uost");
         assert!(save_to_file(&st, &bogus).is_err());
-        let loaded = load_from_file(&path).unwrap();
+        let loaded = load_from_file(&path).unwrap().snapshot();
         assert_eq!(loaded.len(), st.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_store_round_trips() {
-        let mut st = TripleStore::new();
-        st.build();
+        let st = StoreWriter::new().commit();
         let mut buf = Vec::new();
         write_snapshot(&st, &mut buf).unwrap();
-        let loaded = read_snapshot(&mut buf.as_slice()).unwrap();
+        let loaded = read_snapshot(&mut buf.as_slice()).unwrap().snapshot();
         assert!(loaded.is_empty());
     }
 
@@ -529,8 +530,9 @@ _:b0 <http://ex/knows> <http://ex/a> .
         save_to_file(&st, &path).unwrap();
         // A deliberately tiny cache budget: every page still loads (at
         // least one page is always retained), evictions just increase.
-        let loaded = load_from_file_with(&path, PagedOptions { cache_bytes: 4096 }).unwrap();
-        assert_eq!(loaded.snapshot().epoch(), st.snapshot().epoch());
+        let loaded =
+            load_from_file_with(&path, PagedOptions { cache_bytes: 4096 }).unwrap().snapshot();
+        assert_eq!(loaded.epoch(), st.epoch());
         assert_eq!(loaded.len(), st.len());
         assert!(st.iter().eq(loaded.iter()));
         for (id, term) in st.dictionary().iter() {
@@ -539,7 +541,7 @@ _:b0 <http://ex/knows> <http://ex/a> .
         assert_eq!(loaded.stats().triples, st.stats().triples);
         assert_eq!(loaded.stats().entities, st.stats().entities);
         assert_eq!(loaded.stats().literals, st.stats().literals);
-        let cache = loaded.snapshot().page_cache_stats().expect("disk-backed snapshot");
+        let cache = loaded.page_cache_stats().expect("disk-backed snapshot");
         assert!(cache.misses > 0, "the full scan had to fetch pages");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -551,7 +553,7 @@ _:b0 <http://ex/knows> <http://ex/a> .
         let st = sample();
         save_to_file(&st, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let loaded = read_snapshot(&mut bytes.as_slice()).unwrap();
+        let loaded = read_snapshot(&mut bytes.as_slice()).unwrap().snapshot();
         assert_eq!(loaded.len(), st.len());
         assert!(st.iter().eq(loaded.iter()));
         std::fs::remove_dir_all(&dir).ok();
@@ -569,8 +571,8 @@ _:b0 <http://ex/knows> <http://ex/a> .
         bytes[2 * 4096] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         // Opening stays lazy and succeeds — the damage is found on read.
-        let loaded = load_from_file(&path).unwrap();
-        match loaded.snapshot().try_match_pattern(None, None, None) {
+        let loaded = load_from_file(&path).unwrap().snapshot();
+        match loaded.try_match_pattern(None, None, None) {
             Err(SnapshotError::Corrupt(m)) => {
                 assert!(m.contains("crc mismatch"), "clean per-page error, got: {m}")
             }
@@ -597,7 +599,7 @@ _:b0 <http://ex/knows> <http://ex/a> .
         let path = dir.join("store.uost");
         // Two incremental commits on top of the bulk build: the saved file
         // carries three levels including tombstones.
-        let mut w = crate::StoreWriter::from_snapshot(sample().snapshot());
+        let mut w = StoreWriter::from_snapshot(sample());
         w.insert_terms(
             &Term::iri("http://ex/new"),
             &Term::iri("http://ex/knows"),
@@ -610,12 +612,12 @@ _:b0 <http://ex/knows> <http://ex/a> .
             &Term::iri("http://ex/b"),
         ));
         w.commit_with(Parallelism::sequential());
-        let st = TripleStore::from_snapshot(w.snapshot());
-        assert!(st.snapshot().level_count() >= 3);
+        let st = w.snapshot();
+        assert!(st.level_count() >= 3);
         save_to_file(&st, &path).unwrap();
-        let loaded = load_from_file(&path).unwrap();
+        let loaded = load_from_file(&path).unwrap().snapshot();
         assert_eq!(loaded.len(), st.len());
-        assert_eq!(loaded.snapshot().level_count(), st.snapshot().level_count());
+        assert_eq!(loaded.level_count(), st.level_count());
         assert!(st.iter().eq(loaded.iter()));
         assert_eq!(loaded.stats().triples, st.stats().triples);
         std::fs::remove_dir_all(&dir).ok();

@@ -105,12 +105,41 @@ impl Snapshot {
     ) -> Snapshot {
         uo_par::sort_unstable(par, &mut spo);
         spo.dedup();
-        let (pos, osp, stats) = derive_indexes(&dict, &spo, par);
+        Snapshot::from_sorted_spo(dict, spo, epoch, 0, par)
+    }
+
+    /// The single-level builder behind [`build_from`](Self::build_from) and
+    /// a commit onto a level-less base: derives the POS index, the OSP index
+    /// and the statistics from a sorted, deduplicated SPO run (the three
+    /// jobs run concurrently) and stores them as one level with run id
+    /// `run_id`. An empty run yields no level, and `run_id` stays the next
+    /// id to assign.
+    pub(crate) fn from_sorted_spo(
+        dict: Arc<Dictionary>,
+        spo: Vec<[Id; 3]>,
+        epoch: u64,
+        run_id: u64,
+        par: Parallelism,
+    ) -> Snapshot {
+        let permute = |kind: IndexKind| {
+            let mut v: Vec<[Id; 3]> = spo.iter().map(|&t| kind.from_spo(t)).collect();
+            v.sort_unstable();
+            v
+        };
+        let (pos, osp, stats) = uo_par::join3(
+            par,
+            || permute(IndexKind::Pos),
+            || permute(IndexKind::Osp),
+            || DatasetStats::compute(&dict, &spo),
+        );
         let len = spo.len();
         let (levels, next_run_id) = if len == 0 {
-            (Vec::new(), 0)
+            (Vec::new(), run_id)
         } else {
-            (vec![Arc::new(Level::from_sorted(0, [spo, pos, osp], Default::default()))], 1)
+            (
+                vec![Arc::new(Level::from_sorted(run_id, [spo, pos, osp], Default::default()))],
+                run_id + 1,
+            )
         };
         Snapshot { dict, epoch, levels, len, next_run_id, stats }
     }
@@ -408,33 +437,30 @@ impl Snapshot {
     }
 }
 
-/// Derives the POS index, the OSP index and the statistics from a sorted,
-/// deduplicated SPO index — the three jobs run concurrently.
-pub(crate) fn derive_indexes(
-    dict: &Dictionary,
-    spo: &[[Id; 3]],
-    par: Parallelism,
-) -> (Vec<[Id; 3]>, Vec<[Id; 3]>, DatasetStats) {
-    uo_par::join3(
-        par,
-        || {
-            let mut v: Vec<[Id; 3]> = spo.iter().map(|&t| IndexKind::Pos.from_spo(t)).collect();
-            v.sort_unstable();
-            v
-        },
-        || {
-            let mut v: Vec<[Id; 3]> = spo.iter().map(|&t| IndexKind::Osp.from_spo(t)).collect();
-            v.sort_unstable();
-            v
-        },
-        || DatasetStats::compute(dict, spo),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreWriter;
     use uo_rdf::Term;
+
+    /// Six statements, one of them a duplicate, loaded through a writer.
+    fn small_store() -> Arc<Snapshot> {
+        let mut w = StoreWriter::new();
+        let doc = r#"
+<http://ex/a> <http://ex/knows> <http://ex/b> .
+<http://ex/a> <http://ex/knows> <http://ex/c> .
+<http://ex/b> <http://ex/knows> <http://ex/c> .
+<http://ex/a> <http://ex/name> "Alice" .
+<http://ex/b> <http://ex/name> "Bob"@en .
+<http://ex/a> <http://ex/knows> <http://ex/b> .
+"#;
+        w.load_ntriples(doc).unwrap();
+        w.commit()
+    }
+
+    fn id(st: &Snapshot, t: &Term) -> Id {
+        st.dictionary().lookup(t).unwrap()
+    }
 
     fn sample() -> Snapshot {
         let mut dict = Dictionary::new();
@@ -497,5 +523,96 @@ mod tests {
         assert_eq!(t.runs, 3, "three add permutations, no tombstones");
         assert_eq!(t.mem_rows, 3 * s.len());
         assert_eq!(t.disk_rows, 0);
+    }
+
+    #[test]
+    fn duplicates_removed_at_build() {
+        let st = small_store();
+        assert_eq!(st.len(), 5); // 6 statements, one duplicate
+    }
+
+    #[test]
+    fn all_eight_pattern_shapes() {
+        let st = small_store();
+        let a = id(&st, &Term::iri("http://ex/a"));
+        let b = id(&st, &Term::iri("http://ex/b"));
+        let knows = id(&st, &Term::iri("http://ex/knows"));
+        assert_eq!(st.count_pattern(Some(a), Some(knows), Some(b)), 1); // spo
+        assert_eq!(st.count_pattern(Some(a), Some(knows), None), 2); // sp-
+        assert_eq!(st.count_pattern(Some(a), None, Some(b)), 1); // s-o
+        assert_eq!(st.count_pattern(Some(a), None, None), 3); // s--
+        assert_eq!(st.count_pattern(None, Some(knows), Some(b)), 1); // -po
+        assert_eq!(st.count_pattern(None, Some(knows), None), 3); // -p-
+        assert_eq!(st.count_pattern(None, None, Some(b)), 1); // --o
+        assert_eq!(st.count_pattern(None, None, None), 5); // ---
+    }
+
+    #[test]
+    fn match_sets_restore_spo_component_order() {
+        let st = small_store();
+        let knows = id(&st, &Term::iri("http://ex/knows"));
+        for spo in st.match_pattern(None, Some(knows), None).iter_spo() {
+            assert_eq!(spo[1], knows);
+        }
+    }
+
+    #[test]
+    fn objects_and_subjects_helpers() {
+        let st = small_store();
+        let a = id(&st, &Term::iri("http://ex/a"));
+        let c = id(&st, &Term::iri("http://ex/c"));
+        let knows = id(&st, &Term::iri("http://ex/knows"));
+        assert_eq!(st.objects(a, knows).count(), 2);
+        let subs: Vec<Id> = st.subjects(knows, c).collect();
+        assert_eq!(subs.len(), 2);
+        assert!(subs.windows(2).all(|w| w[0] <= w[1]), "sorted");
+    }
+
+    #[test]
+    fn contains_checks_membership() {
+        let st = small_store();
+        let a = id(&st, &Term::iri("http://ex/a"));
+        let b = id(&st, &Term::iri("http://ex/b"));
+        let knows = id(&st, &Term::iri("http://ex/knows"));
+        assert!(st.contains(Triple::new(a, knows, b)));
+        assert!(!st.contains(Triple::new(b, knows, a)));
+    }
+
+    #[test]
+    fn empty_store_answers_zero() {
+        let st = StoreWriter::new().commit();
+        assert_eq!(st.count_pattern(None, None, None), 0);
+        assert!(st.is_empty());
+    }
+
+    #[test]
+    fn parallel_build_matches_sequential() {
+        let mut dict = Dictionary::new();
+        let mut spo = Vec::new();
+        for i in 0..500 {
+            let mut enc = |t: String| dict.encode(&Term::iri(t));
+            spo.push([
+                enc(format!("http://e/{}", i % 89)),
+                enc(format!("http://p/{}", i % 7)),
+                enc(format!("http://e/{}", (i * 31) % 97)),
+            ]);
+        }
+        let dict = Arc::new(dict);
+        let build = |par| Snapshot::build_from(Arc::clone(&dict), spo.clone(), 1, par);
+        let seq = build(Parallelism::sequential());
+        for threads in [2, 4, 8] {
+            let par = build(Parallelism::new(threads));
+            assert_eq!(par.len(), seq.len(), "threads={threads}");
+            assert!(seq.iter().eq(par.iter()), "threads={threads}");
+            assert_eq!(par.stats().triples, seq.stats().triples);
+            assert_eq!(par.stats().entities, seq.stats().entities);
+            assert_eq!(par.stats().predicates, seq.stats().predicates);
+            // Spot-check a non-SPO permutation range.
+            let p0 = par.dictionary().lookup(&Term::iri("http://p/0")).unwrap();
+            assert_eq!(
+                par.match_pattern(None, Some(p0), None).rows(),
+                seq.match_pattern(None, Some(p0), None).rows()
+            );
+        }
     }
 }

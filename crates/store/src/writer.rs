@@ -23,7 +23,7 @@
 
 use crate::index::IndexKind;
 use crate::runs::Level;
-use crate::snapshot::{derive_indexes, Snapshot, INLINE_COMPACT_LEVELS};
+use crate::snapshot::{Snapshot, INLINE_COMPACT_LEVELS};
 use std::sync::Arc;
 use uo_obs::Tracer;
 use uo_par::Parallelism;
@@ -301,9 +301,8 @@ impl Default for StoreWriter {
 }
 
 /// Folds a delta into `base` by appending one level to the tiered run
-/// stack, producing the next snapshot and the commit accounting. Shared by
-/// [`StoreWriter::commit_with`] and the [`TripleStore`](crate::TripleStore)
-/// facade's incremental rebuild.
+/// stack, producing the next snapshot and the commit accounting of
+/// [`StoreWriter::commit_with`].
 ///
 /// The delta is **normalized** against the base first: inserts of rows
 /// already live and deletes of rows not live are dropped. Normalization is
@@ -312,7 +311,7 @@ impl Default for StoreWriter {
 /// alternate add/delete from the bottom up and range counts subtract
 /// exactly. It also keeps the statistics update exact
 /// ([`DatasetStats::apply_delta`]).
-pub(crate) fn commit_delta(
+fn commit_delta(
     base: &Snapshot,
     dict: Arc<Dictionary>,
     mut inserts: Vec<[Id; 3]>,
@@ -330,28 +329,15 @@ pub(crate) fn commit_delta(
     stats.delta_inserts = inserts.len();
     stats.delta_deletes = deletes.len();
 
-    // An initial bulk load arrives here with an empty base; derive
-    // everything from the (already sorted) insert run directly.
+    // A level-less base (a first load, or a store emptied and compacted)
+    // takes the bulk builder. Its first run id is the base's next one: a
+    // compacted-empty base may have written runs already.
     if base.levels.is_empty() && deletes.is_empty() {
-        let spo = inserts;
-        let (pos, osp, ds) = derive_indexes(&dict, &spo, par);
-        stats.rows_sorted += 2 * spo.len();
-        stats.rows_merged += 3 * spo.len();
-        let len = spo.len();
-        let (levels, next_run_id) = if len == 0 {
-            (Vec::new(), base.next_run_id)
-        } else {
-            (
-                vec![Arc::new(Level::from_sorted(
-                    base.next_run_id,
-                    [spo, pos, osp],
-                    Default::default(),
-                ))],
-                base.next_run_id + 1,
-            )
-        };
-        stats.levels = levels.len();
-        return (Snapshot { dict, epoch, levels, len, next_run_id, stats: ds }, stats);
+        stats.rows_sorted += 2 * inserts.len();
+        stats.rows_merged += 3 * inserts.len();
+        let snap = Snapshot::from_sorted_spo(dict, inserts, epoch, base.next_run_id, par);
+        stats.levels = snap.levels.len();
+        return (snap, stats);
     }
 
     // Normalize: drop inserts of live rows and deletes of dead rows.
@@ -625,6 +611,24 @@ mod tests {
     }
 
     #[test]
+    fn commit_onto_compacted_empty_base_takes_a_fresh_run_id() {
+        let mut w = StoreWriter::new();
+        w.insert_terms(&term("a"), &term("p"), &term("b"));
+        w.commit_with(Parallelism::sequential());
+        assert!(w.delete_terms(&term("a"), &term("p"), &term("b")));
+        let emptied = w.commit_with(Parallelism::sequential());
+        let compacted = Arc::new(emptied.compact_with(Parallelism::sequential()).unwrap());
+        assert_eq!((compacted.level_count(), compacted.next_run_id), (0, 2));
+        assert!(w.install_compacted(compacted));
+        w.insert_terms(&term("c"), &term("p"), &term("d"));
+        let snap = w.commit_with(Parallelism::sequential());
+        // Runs 0 and 1 may already name files on disk: the level-less base
+        // must not hand their ids out again.
+        assert_eq!(snap.levels.iter().map(|l| l.id).collect::<Vec<_>>(), [2]);
+        assert_eq!((snap.next_run_id, snap.len(), snap.epoch()), (3, 1, 3));
+    }
+
+    #[test]
     fn streaming_loaders_buffer_statements() {
         let mut w = StoreWriter::new();
         let n = w
@@ -634,5 +638,31 @@ mod tests {
         assert_eq!(w.pending_inserts(), 2);
         let snap = w.commit_with(Parallelism::sequential());
         assert_eq!(snap.len(), 2);
+    }
+
+    #[test]
+    fn rebuild_after_more_inserts() {
+        let mut w = StoreWriter::new();
+        w.load_ntriples("<http://a> <http://knows> <http://b> .\n").unwrap();
+        let before = w.commit();
+        w.insert_terms(&term("c"), &term("knows"), &term("a"));
+        let after = w.commit();
+        let knows = after.dictionary().lookup(&term("knows"));
+        assert_eq!(after.count_pattern(None, knows, None), 2);
+        assert_eq!(after.epoch(), before.epoch() + 1, "a commit bumps the epoch");
+    }
+
+    #[test]
+    fn failed_load_is_atomic() {
+        let mut w = StoreWriter::new();
+        w.load_ntriples("<http://a> <http://p> <http://b> .\n").unwrap();
+        let dict_len = w.dictionary().len();
+        let bad = "<http://ex/new1> <http://ex/p> <http://ex/new2> .\nbroken line\n";
+        assert!(w.load_ntriples(bad).is_err());
+        assert_eq!(w.pending_inserts(), 1, "no partial statements buffered");
+        assert_eq!(w.dictionary().len(), dict_len, "no partial terms encoded");
+        assert!(w.load_turtle("@prefix ex: <http://ex/> .\nex:a ex:p [ broken").is_err());
+        assert_eq!(w.dictionary().len(), dict_len);
+        assert_eq!(w.commit().len(), 1);
     }
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use uo_par::Parallelism;
-use uo_rdf::{Id, Term, Triple};
-use uo_store::{Snapshot, StoreWriter, TripleStore};
+use uo_rdf::{Dictionary, Id, Term, Triple};
+use uo_store::{Snapshot, StoreWriter};
 
 const MAX_ID: u32 = 9;
 
@@ -36,13 +36,12 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 
 /// An empty built store whose dictionary knows ids `1..MAX_ID` (IRIs), so
 /// raw-id triples are valid in both the writer and the bulk rebuild.
-fn seeded() -> TripleStore {
-    let mut st = TripleStore::new();
+fn seeded() -> Arc<Snapshot> {
+    let mut dict = Dictionary::new();
     for i in 0..MAX_ID {
-        st.dictionary_mut().encode(&Term::iri(format!("http://t{i}")));
+        dict.encode(&Term::iri(format!("http://t{i}")));
     }
-    st.build();
-    st
+    Arc::new(Snapshot::build_from(Arc::new(dict), Vec::new(), 1, Parallelism::from_env()))
 }
 
 /// Applies the interleaving through the writer (committing whenever the ops
@@ -51,7 +50,7 @@ fn seeded() -> TripleStore {
 fn check(ops: &[Op], workers: usize) -> Result<(), TestCaseError> {
     let par = Parallelism::new(workers);
     let base = seeded();
-    let mut writer = StoreWriter::from_snapshot(base.snapshot());
+    let mut writer = StoreWriter::from_snapshot(Arc::clone(&base));
     let mut model: BTreeSet<[Id; 3]> = BTreeSet::new();
     for op in ops {
         match op {
@@ -77,7 +76,7 @@ fn check(ops: &[Op], workers: usize) -> Result<(), TestCaseError> {
     let snap = writer.commit_with(par);
 
     let bulk = Snapshot::build_from(
-        Arc::clone(base.snapshot().dict_arc()),
+        Arc::clone(base.dict_arc()),
         model.iter().copied().collect(),
         0,
         Parallelism::sequential(),
@@ -129,7 +128,7 @@ proptest! {
     #[test]
     fn epochs_are_monotonic(ops in arb_ops()) {
         let base = seeded();
-        let mut writer = StoreWriter::from_snapshot(base.snapshot());
+        let mut writer = StoreWriter::from_snapshot(Arc::clone(&base));
         let mut last = writer.snapshot().epoch();
         for op in &ops {
             match op {

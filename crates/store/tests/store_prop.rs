@@ -2,8 +2,10 @@
 //! with a naive scan over the inserted triples.
 
 use proptest::prelude::*;
-use uo_rdf::{Id, Triple};
-use uo_store::TripleStore;
+use std::sync::Arc;
+use uo_par::Parallelism;
+use uo_rdf::{Dictionary, Id, Triple};
+use uo_store::Snapshot;
 
 fn arb_triples() -> impl Strategy<Value = Vec<[Id; 3]>> {
     prop::collection::vec(((1u32..8), (1u32..5), (1u32..8)).prop_map(|(s, p, o)| [s, p, o]), 0..60)
@@ -22,18 +24,14 @@ fn naive_count(triples: &[[Id; 3]], s: Option<Id>, p: Option<Id>, o: Option<Id>)
         .count()
 }
 
-fn build(triples: &[[Id; 3]]) -> TripleStore {
-    let mut st = TripleStore::new();
+fn build(triples: &[[Id; 3]]) -> Snapshot {
     // Ids must exist in the dictionary for decode-based stats; encode dummy
     // terms so ids 1..8 are valid.
+    let mut dict = Dictionary::new();
     for i in 0..8 {
-        st.dictionary_mut().encode(&uo_rdf::Term::iri(format!("http://t{i}")));
+        dict.encode(&uo_rdf::Term::iri(format!("http://t{i}")));
     }
-    for &t in triples {
-        st.insert(Triple::from(t));
-    }
-    st.build();
-    st
+    Snapshot::build_from(Arc::new(dict), triples.to_vec(), 1, Parallelism::from_env())
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 
 use uo_core::{run_query, Strategy};
 use uo_engine::WcoEngine;
-use uo_store::TripleStore;
+use uo_store::StoreWriter;
 
 fn main() {
     // A miniature version of Table 1's DBpedia excerpt.
@@ -19,9 +19,11 @@ fn main() {
 <http://dbpedia.org/resource/Bill_Clinton> <http://www.w3.org/2002/07/owl#sameAs> <http://rdf.freebase.com/ns/Clinton_William_Jefferson_1946-> .
 "#;
 
-    let mut store = TripleStore::new();
-    store.load_ntriples(data).expect("valid N-Triples");
-    store.build();
+    // Every change goes through a writer; `commit` publishes the snapshot
+    // that queries read.
+    let mut writer = StoreWriter::new();
+    writer.load_ntriples(data).expect("valid N-Triples");
+    let store = writer.commit();
     println!(
         "Loaded {} triples ({} entities, {} predicates).\n",
         store.len(),

@@ -22,13 +22,20 @@ use uo_core::{
     Cancelled, DurableUpdateError, GroupNode, Parallelism, Prepared, RunReport, Strategy,
     TransformOutcome, UpdateReport,
 };
+use uo_datagen::{
+    generate_dbpedia, generate_lubm, queries_for, BenchQuery, Dataset, DbpediaConfig, LubmConfig,
+};
 use uo_engine::{BgpEngine, BinaryJoinEngine, CandidateSet, EncodedBgp, WcoEngine};
-use uo_rdf::Term;
+use uo_rdf::{Id, Term, NO_ID};
 use uo_server::{EngineChoice, ServerConfig, ServerHandle};
 use uo_sparql::algebra::Bag;
 use uo_sparql::ast::Query;
-use uo_sparql::{ParseError, UpdateRequest};
-use uo_store::{DurableError, DurableOptions, DurableStore, Snapshot, StoreWriter};
+use uo_sparql::{ParseError, UpdateOp, UpdateRequest};
+use uo_store::{
+    CheckpointReport, CommitStats, DurableError, DurableOptions, DurableStore, FsyncPolicy,
+    PagedOptions, RecoveryReport, Snapshot, SnapshotError, StoreWriter,
+};
+use uo_wal::{Wal, WalError, WalOptions, WalRecovery};
 
 /// `benchmark/src/layers.rs::leaves`: an exhaustive match, no wildcard arm.
 fn leaves(group: &GroupNode, out: &mut Vec<BgpNode>) {
@@ -50,6 +57,34 @@ fn engine_surface(e: &dyn BgpEngine, snapshot: &Snapshot, b: &BgpNode) -> (usize
         e.estimate_cardinality(snapshot, &b.bgp),
         e.estimate_cost(snapshot, &b.bgp),
     )
+}
+
+/// `benchmark/src/layers.rs::updates`: an exhaustive match, no wildcard arm.
+fn apply_data(writer: &mut StoreWriter, op: &UpdateOp) -> bool {
+    match op {
+        UpdateOp::InsertData(ts) => {
+            ts.iter().for_each(|t| writer.insert_terms(&t.subject, &t.predicate, &t.object))
+        }
+        UpdateOp::DeleteData(ts) => ts.iter().for_each(|t| {
+            writer.delete_terms(&t.subject, &t.predicate, &t.object);
+        }),
+        UpdateOp::DeleteWhere(_) => return false,
+    }
+    true
+}
+
+/// `benchmark/src/workloads.rs::build_store`: generated stores are read
+/// through their dictionary and re-inserted into one writer.
+fn build_store(sources: [Arc<Snapshot>; 2]) -> Arc<Snapshot> {
+    let mut writer = StoreWriter::new();
+    for src in sources {
+        let dict = src.dictionary();
+        let term = |id: Id| dict.decode(id).expect("generated triples are dictionary-encoded");
+        for t in src.iter() {
+            writer.insert_terms(term(t.subject), term(t.predicate), term(t.object));
+        }
+    }
+    writer.commit()
 }
 
 /// `benchmark/src/run.rs::server_config`.
@@ -128,6 +163,47 @@ fn the_items_benchmark_imports_keep_the_signatures_it_uses() {
     let _: fn(&[String], &Rows) -> String = uo_sparql::results_json;
     let _: fn(&[String], &Rows) -> String = uo_sparql::results_tsv;
 
+    // uo_store: the writer, the persisted snapshot and the durable store.
+    let _: fn() -> StoreWriter = StoreWriter::new;
+    let _: fn(Arc<Snapshot>) -> StoreWriter = StoreWriter::from_snapshot;
+    let _: fn(&mut StoreWriter, &Term, &Term, &Term) = StoreWriter::insert_terms;
+    let _: fn(&mut StoreWriter, &Term, &Term, &Term) -> bool = StoreWriter::delete_terms;
+    let _: fn(&mut StoreWriter) -> Arc<Snapshot> = StoreWriter::commit;
+    let _: fn(&StoreWriter) -> Arc<Snapshot> = StoreWriter::snapshot;
+    let _: fn(&StoreWriter) -> CommitStats = StoreWriter::last_commit;
+    let _: fn(&Snapshot) -> usize = Snapshot::level_count;
+    let _: fn(&Snapshot, &Path) -> io::Result<()> = uo_store::save_to_file;
+    let _: fn(&Path, PagedOptions) -> Result<StoreWriter, SnapshotError> =
+        uo_store::load_from_file_with;
+    let _: fn(&mut DurableStore, Arc<Snapshot>) -> io::Result<CheckpointReport> =
+        DurableStore::seed;
+    let _: fn(&mut DurableStore) -> io::Result<CheckpointReport> = DurableStore::checkpoint;
+    let _: fn(&mut DurableStore, Parallelism) -> Result<(), SnapshotError> = DurableStore::compact;
+    let _: fn(&DurableStore) -> &RecoveryReport = DurableStore::recovery;
+    let _: fn(&DurableStore) -> Arc<Snapshot> = DurableStore::snapshot;
+    let _: usize = RecoveryReport::default().replayed_ops;
+    let _ =
+        DurableOptions { fsync: FsyncPolicy::Always, page_cache_bytes: 0, ..Default::default() };
+
+    // uo_wal: the log on its own, with the store's fsync policy type.
+    let _: fn(&Path, WalOptions) -> Result<(Wal, WalRecovery), WalError> = Wal::open;
+    let _: fn(&mut Wal, u64, &[u8]) -> io::Result<()> = Wal::append;
+    let _: fn(&mut Wal) -> io::Result<()> = Wal::sync;
+    let _ = WalOptions { fsync: FsyncPolicy::Never, ..Default::default() };
+
+    // uo_datagen: the served store and the paper's queries.
+    let _: fn(&LubmConfig) -> Arc<Snapshot> = generate_lubm;
+    let _: fn(&DbpediaConfig) -> Arc<Snapshot> = generate_dbpedia;
+    let _: fn(Dataset) -> Vec<BenchQuery> = queries_for;
+    let _ = LubmConfig { universities: 2, ..LubmConfig::default() };
+    let _ = DbpediaConfig { articles: 15_000, seed: 7, ..DbpediaConfig::default() };
+    let _: (fn() -> LubmConfig, fn() -> DbpediaConfig) = (LubmConfig::tiny, DbpediaConfig::tiny);
+
+    // uo_sparql's update text, both ways, and the reserved id.
+    let _: fn(&str) -> Result<UpdateRequest, ParseError> = uo_sparql::parse_update;
+    let _: fn(&UpdateRequest) -> String = uo_sparql::serialize_update;
+    let _: Id = NO_ID;
+
     // uo_server.
     let _: fn(Arc<Snapshot>, ServerConfig, u16) -> io::Result<ServerHandle> = uo_server::start;
     let _: fn(DurableStore, ServerConfig, u16) -> io::Result<ServerHandle> =
@@ -139,10 +215,11 @@ fn the_items_benchmark_imports_keep_the_signatures_it_uses() {
 /// sequence (`Layers::queries`).
 #[test]
 fn the_fields_benchmark_reads_are_there() {
-    let mut st = uo_store::TripleStore::new();
-    st.load_ntriples("<http://a> <http://p> <http://b> .\n<http://b> <http://q> \"x\" .\n")
+    let mut writer = StoreWriter::new();
+    writer
+        .load_ntriples("<http://a> <http://p> <http://b> .\n<http://b> <http://q> \"x\" .\n")
         .unwrap();
-    st.build();
+    let st = writer.commit();
     let snapshot: &Snapshot = &st;
     let engine = WcoEngine::with_threads(1);
     let text = "SELECT ?x ?l WHERE { ?x <http://p> ?y . OPTIONAL { ?y <http://q> ?l } }";
@@ -181,4 +258,56 @@ fn the_fields_benchmark_reads_are_there() {
             assert!(rows > 0 && card > 0.0 && cost > 0.0, "{}", e.name());
         }
     }
+}
+
+/// The store paths the benchmark drives, on small inputs: the served store
+/// built from both generators, its cold reopen, the update stream through a
+/// writer and the log.
+#[test]
+fn the_store_paths_benchmark_drives_work() {
+    let lubm = generate_lubm(&LubmConfig::tiny());
+    let dbpedia = generate_dbpedia(&DbpediaConfig { seed: 3, ..DbpediaConfig::tiny() });
+    let (lubm_len, dbpedia_len) = (lubm.len(), dbpedia.len());
+    let store = build_store([lubm, dbpedia]);
+    assert!(store.len() > lubm_len.max(dbpedia_len));
+    let q: BenchQuery = queries_for(Dataset::Lubm).remove(0);
+    assert!(!format!("{} {} {}", q.dataset, q.id, q.text).is_empty());
+
+    let dir = std::env::temp_dir().join(format!("uo_benchmark_api_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("cold.uost");
+    uo_store::save_to_file(&store, &file).unwrap();
+    let cold = uo_store::load_from_file_with(&file, PagedOptions { cache_bytes: 1 << 16 })
+        .unwrap()
+        .snapshot();
+    assert!(cold.iter().eq(store.iter()));
+
+    let request = uo_sparql::parse_update(
+        "INSERT DATA { <http://n/a> <http://n/p> <http://n/b> } ; \
+         DELETE DATA { <http://n/a> <http://n/p> <http://n/b> }",
+    )
+    .unwrap();
+    let mut direct = StoreWriter::from_snapshot(Arc::clone(&store));
+    assert!(request.ops.iter().all(|op| apply_data(&mut direct, op)));
+    direct.commit();
+    assert_eq!(direct.snapshot().len(), store.len());
+    let _: usize = direct.last_commit().rows_sorted;
+
+    let (mut wal, _) =
+        Wal::open(&dir.join("wal"), WalOptions { fsync: FsyncPolicy::Never, ..Default::default() })
+            .unwrap();
+    wal.append(1, uo_sparql::serialize_update(&request).as_bytes()).unwrap();
+    wal.sync().unwrap();
+    assert!(wal.stats().bytes > 0);
+
+    let dict = store.dictionary();
+    let term = |id: Id| dict.decode(id).expect("a stored id");
+    let doc: String = store
+        .iter()
+        .take(100)
+        .map(|t| format!("{} {} {} .\n", term(t.subject), term(t.predicate), term(t.object)))
+        .collect();
+    let parsed = uo_rdf::ntriples::parse_document_each(&doc, |_, _, _| {}).unwrap();
+    assert_eq!(parsed, 100);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,23 +3,24 @@
 //! execution paths must produce the same result multiset, and the trees must
 //! stay structurally valid through transformation.
 
+use std::sync::Arc;
 use uo_core::{prepare, run_query, CostModel, OptimizerConfig, Strategy};
 use uo_datagen::{
     generate_dbpedia, generate_lubm, queries_for, Dataset, DbpediaConfig, LubmConfig,
 };
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
 use uo_lbr::evaluate_lbr;
-use uo_store::TripleStore;
+use uo_store::Snapshot;
 
-fn lubm() -> TripleStore {
+fn lubm() -> Arc<Snapshot> {
     generate_lubm(&LubmConfig::tiny())
 }
 
-fn dbpedia() -> TripleStore {
+fn dbpedia() -> Arc<Snapshot> {
     generate_dbpedia(&DbpediaConfig::tiny())
 }
 
-fn check_all_paths(store: &TripleStore, id: &str, text: &str, expect_lbr: bool) {
+fn check_all_paths(store: &Snapshot, id: &str, text: &str, expect_lbr: bool) {
     let wco = WcoEngine::new();
     let bin = BinaryJoinEngine::new();
     let reference = run_query(store, &wco, text, Strategy::Base).unwrap();

@@ -16,9 +16,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use uo_core::{run_query_with, Parallelism, RunReport, Strategy};
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
-use uo_store::{PagedOptions, SnapshotError, TripleStore};
+use uo_store::{PagedOptions, Snapshot, SnapshotError, StoreWriter};
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -30,7 +31,7 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 /// A store big enough to span many pages in every permutation index.
-fn sample_store(triples: usize) -> TripleStore {
+fn sample_store(triples: usize) -> Arc<Snapshot> {
     let mut doc = String::new();
     for i in 0..triples {
         doc.push_str(&format!(
@@ -40,15 +41,13 @@ fn sample_store(triples: usize) -> TripleStore {
             i
         ));
     }
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     st.load_ntriples(&doc).unwrap();
-    st.build();
-    st
+    st.commit()
 }
 
 /// Every pattern family, answered by all three permutation indexes.
-fn fingerprint(st: &TripleStore) -> Vec<(usize, Vec<[u32; 3]>)> {
-    let snap = st.snapshot();
+fn fingerprint(snap: &Snapshot) -> Vec<(usize, Vec<[u32; 3]>)> {
     let ids = snap.dictionary().len() as u32;
     let mut out = Vec::new();
     // Full scan (SPO), per-predicate scans (POS), per-object scans (OSP) —
@@ -76,24 +75,25 @@ fn fingerprint(st: &TripleStore) -> Vec<(usize, Vec<[u32; 3]>)> {
 fn tiny_page_cache_budget_stays_correct_and_evicts() {
     let warm = sample_store(6_000);
     let path = temp_path("tiny");
-    uo_store::save_to_file(&warm.snapshot(), &path).unwrap();
+    uo_store::save_to_file(&warm, &path).unwrap();
 
     // Two pages' worth of budget for a ~200 KB dataset.
-    let cold = uo_store::load_from_file_with(&path, PagedOptions { cache_bytes: 8 << 10 }).unwrap();
-    let tiers = cold.snapshot().tier_stats();
+    let cold = uo_store::load_from_file_with(&path, PagedOptions { cache_bytes: 8 << 10 })
+        .unwrap()
+        .snapshot();
+    let tiers = cold.tier_stats();
     assert!(tiers.disk_rows > 0, "reopened store must be disk-backed, got {tiers:?}");
     assert_eq!(tiers.mem_rows, 0, "nothing should be materialized eagerly");
 
     assert_eq!(fingerprint(&cold), fingerprint(&warm));
 
-    let pc = cold.snapshot().page_cache_stats().expect("disk-backed store has cache stats");
+    let pc = cold.page_cache_stats().expect("disk-backed store has cache stats");
     assert!(pc.misses > 0, "cold reads must fetch pages, got {pc:?}");
     assert!(pc.evictions > 0, "an 8 KiB budget over a multi-page store must evict, got {pc:?}");
 }
 
 /// Scans that together touch every data page of the file, as results.
-fn scan_all(st: &TripleStore) -> Vec<Result<usize, SnapshotError>> {
-    let snap = st.snapshot();
+fn scan_all(snap: &Snapshot) -> Vec<Result<usize, SnapshotError>> {
     let ids = snap.dictionary().len() as u32;
     let mut out = Vec::new();
     out.push(snap.try_match_pattern(None, None, None).map(|m| m.into_rows().len()));
@@ -112,7 +112,7 @@ fn scan_all(st: &TripleStore) -> Vec<Result<usize, SnapshotError>> {
 fn corrupt_page_is_a_clean_per_page_crc_error() {
     let warm = sample_store(2_000);
     let path = temp_path("corrupt");
-    uo_store::save_to_file(&warm.snapshot(), &path).unwrap();
+    uo_store::save_to_file(&warm, &path).unwrap();
     let bytes = fs::read(&path).unwrap();
 
     // The 24-byte trailer locates the footer; every 4 KiB page before it
@@ -137,6 +137,7 @@ fn corrupt_page_is_a_clean_per_page_crc_error() {
             }
             Err(other) => panic!("expected a Corrupt error, got {other}"),
             Ok(cold) => {
+                let cold = cold.snapshot();
                 // Row pages are only verified when first touched: some scan
                 // must fail with the per-page error, and no scan may
                 // return rows the warm store would not.
@@ -177,15 +178,16 @@ fn cold_reopen_serves_conformance_suite_byte_identically() {
         }
         let query_text = fs::read_to_string(dir.join("query.rq")).unwrap();
         let data = fs::read_to_string(dir.join("data.nt")).unwrap();
-        let mut warm = TripleStore::new();
+        let mut warm = StoreWriter::new();
         warm.load_ntriples(&data).unwrap();
-        warm.build();
+        let warm = warm.commit();
         let projection = uo_sparql::parse(&query_text).unwrap().projection();
 
         let path = temp_path("conf");
-        uo_store::save_to_file(&warm.snapshot(), &path).unwrap();
-        let cold =
-            uo_store::load_from_file_with(&path, PagedOptions { cache_bytes: 16 << 10 }).unwrap();
+        uo_store::save_to_file(&warm, &path).unwrap();
+        let cold = uo_store::load_from_file_with(&path, PagedOptions { cache_bytes: 16 << 10 })
+            .unwrap()
+            .snapshot();
 
         for threads in [1usize, 2] {
             let par = Parallelism::new(threads);

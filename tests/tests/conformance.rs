@@ -25,7 +25,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use uo_core::{run_query_with, Parallelism, RunReport, Strategy};
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
-use uo_store::TripleStore;
+use uo_store::StoreWriter;
 
 struct Case {
     name: String,
@@ -184,9 +184,9 @@ fn run_case(case: &Case, bless: bool) -> Result<(), String> {
         .map_err(|e| format!("cannot read {}: {e}", case.query.display()))?;
     let data = fs::read_to_string(&case.data)
         .map_err(|e| format!("cannot read {}: {e}", case.data.display()))?;
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     st.load_ntriples(&data).map_err(|e| format!("bad data file: {e}"))?;
-    st.build();
+    let st = st.commit();
     let parsed = uo_sparql::parse(&query_text).map_err(|e| format!("parse error: {e}"))?;
     let ordered = !parsed.order_by.is_empty() || parsed.ask;
     let projection = parsed.projection();

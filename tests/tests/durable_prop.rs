@@ -226,7 +226,7 @@ fn recovery_replay_takes_the_merge_path() {
     let dir = temp_dir("merge");
     let n = 4_000usize;
     {
-        let mut st = uo_store::TripleStore::new();
+        let mut st = uo_store::StoreWriter::new();
         let mut doc = String::new();
         for i in 0..n {
             doc.push_str(&format!(
@@ -235,9 +235,8 @@ fn recovery_replay_takes_the_merge_path() {
             ));
         }
         st.load_ntriples(&doc).unwrap();
-        st.build_with(par);
         let mut ds = open_durable(&dir, DurableOptions::default(), &engine, par).unwrap();
-        ds.seed(st.snapshot()).unwrap();
+        ds.seed(st.commit_with(par)).unwrap();
         for i in 0..5 {
             let request = parse_update(&format!(
                 "INSERT DATA {{ <http://new/s{i}> <http://new/p> <http://new/o{i}> }}"

@@ -6,9 +6,9 @@ use uo_core::{run_query, Strategy};
 use uo_datagen::{generate_lubm, lubm_queries, LubmConfig};
 use uo_engine::WcoEngine;
 use uo_rdf::ntriples;
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
-fn serialize_store(st: &TripleStore) -> String {
+fn serialize_store(st: &Snapshot) -> String {
     let mut doc = String::new();
     for t in st.iter() {
         let d = st.dictionary();
@@ -22,12 +22,12 @@ fn serialize_store(st: &TripleStore) -> String {
     doc
 }
 
-fn stores_equal(a: &TripleStore, b: &TripleStore) -> bool {
+fn stores_equal(a: &Snapshot, b: &Snapshot) -> bool {
     if a.len() != b.len() {
         return false;
     }
     // Compare decoded triples (ids may differ between stores).
-    let decode_all = |st: &TripleStore| {
+    let decode_all = |st: &Snapshot| {
         let mut v: Vec<String> = st
             .iter()
             .map(|t| {
@@ -52,21 +52,21 @@ fn generated_dataset_round_trips_through_all_formats() {
     let doc = serialize_store(&original);
 
     // N-Triples round trip.
-    let mut via_nt = TripleStore::new();
+    let mut via_nt = StoreWriter::new();
     via_nt.load_ntriples(&doc).unwrap();
-    via_nt.build();
+    let via_nt = via_nt.commit();
     assert!(stores_equal(&original, &via_nt), "N-Triples round trip changed the data");
 
     // The same document is valid Turtle.
-    let mut via_ttl = TripleStore::new();
+    let mut via_ttl = StoreWriter::new();
     via_ttl.load_turtle(&doc).unwrap();
-    via_ttl.build();
+    let via_ttl = via_ttl.commit();
     assert!(stores_equal(&original, &via_ttl), "Turtle round trip changed the data");
 
     // Snapshot round trip.
     let mut buf = Vec::new();
     uo_store::write_snapshot(&original, &mut buf).unwrap();
-    let via_snap = uo_store::read_snapshot(&mut buf.as_slice()).unwrap();
+    let via_snap = uo_store::read_snapshot(&mut buf.as_slice()).unwrap().snapshot();
     assert!(stores_equal(&original, &via_snap), "snapshot round trip changed the data");
 }
 
@@ -74,12 +74,12 @@ fn generated_dataset_round_trips_through_all_formats() {
 fn queries_agree_on_every_copy() {
     let original = generate_lubm(&LubmConfig::tiny());
     let doc = serialize_store(&original);
-    let mut via_ttl = TripleStore::new();
+    let mut via_ttl = StoreWriter::new();
     via_ttl.load_turtle(&doc).unwrap();
-    via_ttl.build();
+    let via_ttl = via_ttl.commit();
     let mut buf = Vec::new();
     uo_store::write_snapshot(&original, &mut buf).unwrap();
-    let via_snap = uo_store::read_snapshot(&mut buf.as_slice()).unwrap();
+    let via_snap = uo_store::read_snapshot(&mut buf.as_slice()).unwrap().snapshot();
 
     let engine = WcoEngine::new();
     for q in lubm_queries().into_iter().filter(|q| q.group == 1) {

@@ -5,10 +5,10 @@
 use std::sync::Arc;
 use uo_core::{run_query, Strategy};
 use uo_engine::{BinaryJoinEngine, WcoEngine};
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
-fn store() -> TripleStore {
-    let mut st = TripleStore::new();
+fn store() -> Arc<Snapshot> {
+    let mut st = StoreWriter::new();
     st.load_ntriples(
         r#"
 <http://e/a> <http://p/knows> <http://e/b> .
@@ -18,8 +18,7 @@ fn store() -> TripleStore {
 "#,
     )
     .unwrap();
-    st.build();
-    st
+    st.commit()
 }
 
 #[test]

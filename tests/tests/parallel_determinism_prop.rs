@@ -10,19 +10,20 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use uo_core::{run_query_with, Parallelism, Strategy};
 use uo_engine::{encode_bgp, BgpEngine, BinaryJoinEngine, CandidateSet, WcoEngine};
 use uo_sparql::algebra::VarTable;
 use uo_sparql::ast::{PatternTerm, TriplePattern};
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
 const N_ENTITIES: u32 = 20;
 const N_PREDICATES: u32 = 4;
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
-fn random_store(seed: u64, n_triples: usize) -> TripleStore {
+fn random_store(seed: u64, n_triples: usize) -> Arc<Snapshot> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     for _ in 0..n_triples {
         let s = rng.gen_range(0..N_ENTITIES);
         let p = rng.gen_range(0..N_PREDICATES);
@@ -33,15 +34,14 @@ fn random_store(seed: u64, n_triples: usize) -> TripleStore {
             &uo_rdf::Term::iri(format!("http://e{o}")),
         );
     }
-    st.build();
-    st
+    st.commit()
 }
 
 /// Like [`random_store`] but with integer-valued `<http://val>` triples so
 /// arithmetic BINDs and aggregates operate on live numeric data.
-fn random_typed_store(seed: u64, n_triples: usize) -> TripleStore {
+fn random_typed_store(seed: u64, n_triples: usize) -> Arc<Snapshot> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     for _ in 0..n_triples {
         let s = rng.gen_range(0..N_ENTITIES);
         let p = rng.gen_range(0..N_PREDICATES);
@@ -62,8 +62,7 @@ fn random_typed_store(seed: u64, n_triples: usize) -> TripleStore {
             ),
         );
     }
-    st.build();
-    st
+    st.commit()
 }
 
 /// Queries covering every construct added on top of the BGP core: BIND

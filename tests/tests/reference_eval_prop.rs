@@ -14,11 +14,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use uo_core::{run_query_with, Parallelism, Strategy};
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
 use uo_rdf::Term;
 use uo_sparql::ast::{AggFunc, CastKind, Element, Expr, GroupPattern, PatternTerm, Query};
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
 const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
 const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
@@ -515,13 +516,12 @@ fn random_data(seed: u64) -> Vec<(Term, Term, Term)> {
     data
 }
 
-fn store_from(data: &[(Term, Term, Term)]) -> TripleStore {
-    let mut st = TripleStore::new();
+fn store_from(data: &[(Term, Term, Term)]) -> Arc<Snapshot> {
+    let mut st = StoreWriter::new();
     for (s, p, o) in data {
         st.insert_terms(s, p, o);
     }
-    st.build();
-    st
+    st.commit()
 }
 
 /// A random FILTER constraint over `?x` (IRI-valued), `?n` (integer-valued)

@@ -2,19 +2,19 @@
 //! evaluator against manually worked-out result sets — including the bag
 //! (duplicate-preserving) corner cases and the paper's running examples.
 
+use std::sync::Arc;
 use uo_core::{run_query, Strategy};
 use uo_engine::WcoEngine;
 use uo_rdf::Term;
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
-fn store(doc: &str) -> TripleStore {
-    let mut st = TripleStore::new();
+fn store(doc: &str) -> Arc<Snapshot> {
+    let mut st = StoreWriter::new();
     st.load_ntriples(doc).unwrap();
-    st.build();
-    st
+    st.commit()
 }
 
-fn run(st: &TripleStore, q: &str) -> Vec<Vec<Option<Term>>> {
+fn run(st: &Snapshot, q: &str) -> Vec<Vec<Option<Term>>> {
     run_query(st, &WcoEngine::new(), q, Strategy::Base).unwrap().results
 }
 

@@ -12,13 +12,13 @@ use uo_engine::WcoEngine;
 use uo_json::Json;
 use uo_rdf::Term;
 use uo_server::{ServerConfig, ServerHandle};
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
 /// The shared dataset: 200 people with names/labels, a few linked to a hub
 /// entity, some with sameAs edges — enough structure for OPTIONAL/UNION
 /// queries with non-trivial answers.
-fn store() -> Arc<TripleStore> {
-    let mut st = TripleStore::new();
+fn store() -> Arc<Snapshot> {
+    let mut st = StoreWriter::new();
     let mut doc = String::new();
     for i in 0..200 {
         doc.push_str(&format!("<http://p{i}> <http://sameAs> <http://ext{i}> .\n"));
@@ -32,8 +32,7 @@ fn store() -> Arc<TripleStore> {
         }
     }
     st.load_ntriples(&doc).unwrap();
-    st.build();
-    Arc::new(st)
+    st.commit()
 }
 
 const Q_UO: &str = "SELECT ?x ?n ?s WHERE {
@@ -49,15 +48,15 @@ const Q_UNION: &str = "SELECT ?x ?n WHERE {
 }";
 const Q_BGP: &str = "SELECT ?x WHERE { ?x <http://link> <http://POTUS> . }";
 
-fn start(cfg: ServerConfig) -> (Arc<TripleStore>, ServerHandle) {
+fn start(cfg: ServerConfig) -> (Arc<Snapshot>, ServerHandle) {
     let st = store();
-    let handle = uo_server::start(st.snapshot(), cfg, 0).expect("server start");
+    let handle = uo_server::start(Arc::clone(&st), cfg, 0).expect("server start");
     (st, handle)
 }
 
 /// The body the server must produce for `query`: direct in-process
 /// execution serialized with the same serializer.
-fn expected_json(st: &TripleStore, query: &str) -> String {
+fn expected_json(st: &Snapshot, query: &str) -> String {
     let engine = WcoEngine::with_threads(1);
     let report =
         run_query_with(st, &engine, query, Strategy::Full, Parallelism::sequential()).unwrap();
@@ -65,7 +64,7 @@ fn expected_json(st: &TripleStore, query: &str) -> String {
     uo_sparql::results_json(&projection, &report.results)
 }
 
-fn expected_tsv(st: &TripleStore, query: &str) -> String {
+fn expected_tsv(st: &Snapshot, query: &str) -> String {
     let engine = WcoEngine::with_threads(1);
     let report =
         run_query_with(st, &engine, query, Strategy::Full, Parallelism::sequential()).unwrap();
@@ -348,7 +347,7 @@ fn deadline_timeout_returns_error_and_recovers() {
 }
 
 /// The body the server must produce for `query`, ASK form included.
-fn expected_body(st: &TripleStore, query: &str) -> String {
+fn expected_body(st: &Snapshot, query: &str) -> String {
     let engine = WcoEngine::with_threads(1);
     let report =
         run_query_with(st, &engine, query, Strategy::Full, Parallelism::sequential()).unwrap();
@@ -425,7 +424,7 @@ fn new_constructs_over_http_and_plan_cache_keys() {
 /// typed and language-tagged literals.
 #[test]
 fn tsv_covers_literal_annotations() {
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     st.insert_terms(
         &Term::iri("http://s"),
         &Term::iri("http://p"),
@@ -436,8 +435,7 @@ fn tsv_covers_literal_annotations() {
         &Term::iri("http://q"),
         &Term::typed_literal("7", "http://www.w3.org/2001/XMLSchema#integer"),
     );
-    st.build();
-    let handle = uo_server::start(st.snapshot(), ServerConfig::default(), 0).expect("server start");
+    let handle = uo_server::start(st.commit(), ServerConfig::default(), 0).expect("server start");
     let q = "SELECT ?o WHERE { <http://s> <http://p> ?o }";
     let (status, body) = get_query(handle.addr(), q, Some("text/tab-separated-values"));
     assert_eq!(status, 200);
@@ -514,7 +512,7 @@ fn read_only_the_head_of_the_big_reply(addr: SocketAddr) -> TcpStream {
 
 /// With one admission slot a leaked one would 503 every later request:
 /// waits for the slot to come back, then checks a request is served in full.
-fn assert_slot_returns_and_next_request_is_served(st: &TripleStore, addr: SocketAddr, why: &str) {
+fn assert_slot_returns_and_next_request_is_served(st: &Snapshot, addr: SocketAddr, why: &str) {
     let deadline = Instant::now() + Duration::from_secs(20);
     while metrics(addr).get("inflight").and_then(Json::as_f64) != Some(0.0) {
         assert!(Instant::now() < deadline, "{why}");

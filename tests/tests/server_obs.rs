@@ -14,10 +14,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use uo_json::Json;
 use uo_server::{EngineChoice, ServerConfig};
-use uo_store::{Snapshot, TripleStore};
+use uo_store::{Snapshot, StoreWriter};
 
 fn base_store() -> Arc<Snapshot> {
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     let mut doc = String::new();
     for i in 0..100 {
         doc.push_str(&format!("<http://p{i}> <http://sameAs> <http://ext{i}> .\n"));
@@ -31,8 +31,7 @@ fn base_store() -> Arc<Snapshot> {
         }
     }
     st.load_ntriples(&doc).unwrap();
-    st.build();
-    st.snapshot()
+    st.commit()
 }
 
 const Q_UO: &str = "SELECT ?x ?n ?s WHERE {

@@ -16,10 +16,10 @@ use std::sync::Arc;
 use uo_json::Json;
 use uo_obs::Tracer;
 use uo_server::{EngineChoice, ServerConfig};
-use uo_store::{Snapshot, TripleStore};
+use uo_store::{Snapshot, StoreWriter};
 
 fn base_store() -> Arc<Snapshot> {
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     let mut doc = String::new();
     for i in 0..100 {
         doc.push_str(&format!("<http://p{i}> <http://sameAs> <http://ext{i}> .\n"));
@@ -33,8 +33,7 @@ fn base_store() -> Arc<Snapshot> {
         }
     }
     st.load_ntriples(&doc).unwrap();
-    st.build();
-    st.snapshot()
+    st.commit()
 }
 
 const Q_UO: &str = "SELECT ?x ?n ?s WHERE {

@@ -11,10 +11,10 @@ use uo_core::{run_query_with, Parallelism, Strategy};
 use uo_engine::WcoEngine;
 use uo_json::Json;
 use uo_server::ServerConfig;
-use uo_store::{Snapshot, StoreWriter, TripleStore};
+use uo_store::{Snapshot, StoreWriter};
 
 fn base_store() -> Arc<Snapshot> {
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     let mut doc = String::new();
     for i in 0..50 {
         doc.push_str(&format!("<http://p{i}> <http://name> \"n{i}\" .\n"));
@@ -23,8 +23,7 @@ fn base_store() -> Arc<Snapshot> {
         }
     }
     st.load_ntriples(&doc).unwrap();
-    st.build_with(Parallelism::sequential());
-    st.snapshot()
+    st.commit_with(Parallelism::sequential())
 }
 
 const Q: &str = "SELECT ?x ?n WHERE {

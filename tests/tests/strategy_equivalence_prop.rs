@@ -11,17 +11,18 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use uo_core::{prepare, run_query, Strategy};
 use uo_engine::{BgpEngine, BinaryJoinEngine, WcoEngine};
 use uo_lbr::evaluate_lbr;
-use uo_store::TripleStore;
+use uo_store::{Snapshot, StoreWriter};
 
 const N_ENTITIES: u32 = 24;
 const N_PREDICATES: u32 = 4;
 
-fn random_store(seed: u64, n_triples: usize) -> TripleStore {
+fn random_store(seed: u64, n_triples: usize) -> Arc<Snapshot> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut st = TripleStore::new();
+    let mut st = StoreWriter::new();
     for _ in 0..n_triples {
         let s = rng.gen_range(0..N_ENTITIES);
         let p = rng.gen_range(0..N_PREDICATES);
@@ -32,8 +33,7 @@ fn random_store(seed: u64, n_triples: usize) -> TripleStore {
             &uo_rdf::Term::iri(format!("http://e{o}")),
         );
     }
-    st.build();
-    st
+    st.commit()
 }
 
 /// Generates a random well-designed group pattern as query text.
